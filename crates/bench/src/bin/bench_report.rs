@@ -1,4 +1,4 @@
-//! Emits a machine-readable benchmark report (`BENCH_pr10.json`) so future
+//! Emits a machine-readable benchmark report (`BENCH_pr12.json`) so future
 //! PRs can track the performance trajectory of the hot paths.
 //!
 //! For every scalable protocol family (`ring`, `chain`, `fanout`) at sizes
@@ -21,7 +21,10 @@
 //!   budget. On the concurrent families the reduction collapses the
 //!   interleaving space to its causal skeleton, so the same (identical!)
 //!   verdict arrives after a fraction of the configurations; the harness
-//!   asserts verdict agreement before timing;
+//!   asserts verdict agreement before timing. Two cases run at the protocol
+//!   registry's default safety budget (bound 2, 50 000 configurations),
+//!   where both searches hit the cap: they track what registering a large
+//!   protocol costs;
 //! * `cfsm_explore_par` — the work-stealing parallel frontier
 //!   ([`System::explore_parallel`]) at 1/2/4 worker threads on the largest
 //!   residual (post-reduction) state space, baselined against its own
@@ -106,7 +109,7 @@
 //!   engines visit identical configuration counts before timing them).
 //!
 //! Run with `cargo run --release -p zooid-bench --bin bench-report`; writes
-//! `BENCH_pr10.json` in the current directory. `--smoke` shrinks sizes and
+//! `BENCH_pr12.json` in the current directory. `--smoke` shrinks sizes and
 //! budgets for CI smoke runs, `--out PATH` redirects the report.
 
 use std::sync::Arc;
@@ -135,8 +138,8 @@ use zooid_runtime::MuxFrame;
 use zooid_server::obs::ShardObs;
 use zooid_server::synth::skeleton_endpoints;
 use zooid_server::{
-    FlightEvent, NetClient, NetServer, NetServerConfig, ProtocolRegistry, ServerConfig, Service,
-    SessionServer, SessionSpec,
+    FlightEvent, NetClient, NetServer, NetServerConfig, ProtocolRegistry, SafetyBudget,
+    ServerConfig, Service, SessionServer, SessionSpec,
 };
 
 const SIZES: [usize; 4] = [2, 8, 32, 128];
@@ -449,7 +452,7 @@ struct Options {
 fn parse_args() -> Options {
     let mut opts = Options {
         smoke: false,
-        out: "BENCH_pr10.json".to_owned(),
+        out: "BENCH_pr12.json".to_owned(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -579,30 +582,55 @@ fn main() {
     // cfsm_explore_por: the ample-set partial-order reduction vs the full
     // interned engine, same bound, same configuration budget, same verdict.
     // The concurrent families are where interleavings explode; ring is the
-    // sequential control.
+    // sequential control. Every case below the registry budget is sized to
+    // complete within its cap; the registry-budget cases (cap 50k) are the
+    // largest protocols of the serving catalog, where both searches are cut
+    // at the cap. The flag says which of the two a case is.
     // ------------------------------------------------------------------
-    let por_cases: Vec<(String, GlobalType, usize)> = if opts.smoke {
+    let mut por_cases: Vec<(String, GlobalType, usize, bool)> = if opts.smoke {
         vec![
-            ("ring/8".into(), generators::ring_n(8), 20_000),
-            ("fanout/8".into(), generators::fanout_n(8), 20_000),
+            ("ring/8".into(), generators::ring_n(8), 20_000, false),
+            ("fanout/8".into(), generators::fanout_n(8), 20_000, false),
         ]
     } else {
         vec![
-            ("ring/32".into(), generators::ring_n(32), 50_000),
-            ("chain/8".into(), generators::chain_n(8), 200_000),
-            ("fanout/8".into(), generators::fanout_n(8), 50_000),
-            ("fanout/10".into(), generators::fanout_n(10), 200_000),
+            ("ring/32".into(), generators::ring_n(32), 50_000, false),
+            ("chain/8".into(), generators::chain_n(8), 200_000, false),
+            ("fanout/8".into(), generators::fanout_n(8), 50_000, false),
+            ("fanout/10".into(), generators::fanout_n(10), 200_000, false),
         ]
     };
-    for (case, g, cap) in &por_cases {
+    let registry_cap = SafetyBudget::default().max_configs;
+    por_cases.extend([
+        (
+            "chain/12".into(),
+            generators::chain_n(12),
+            registry_cap,
+            true,
+        ),
+        (
+            "fanout/14".into(),
+            generators::fanout_n(14),
+            registry_cap,
+            true,
+        ),
+    ]);
+    for (case, g, cap, cut_at_cap) in &por_cases {
         let system = System::from_global(g).expect("bench families are projectable");
         let compiled = system.compile();
         let full_probe = compiled.explore(CFSM_BOUND, *cap);
         let por_probe = compiled.explore_por(CFSM_BOUND, *cap);
-        assert!(
-            !full_probe.truncated && !por_probe.truncated,
-            "{case}: POR cases are sized to complete within the budget"
-        );
+        if *cut_at_cap {
+            assert!(
+                full_probe.truncated && por_probe.truncated,
+                "{case}: registry-budget cases are sized to be cut at the cap"
+            );
+        } else {
+            assert!(
+                !full_probe.truncated && !por_probe.truncated,
+                "{case}: POR cases are sized to complete within the budget"
+            );
+        }
         assert_eq!(
             full_probe.verdict(),
             por_probe.verdict(),
@@ -1540,7 +1568,7 @@ fn main() {
         });
     }
 
-    let mut json = String::from("{\n  \"pr\": 10,\n  \"benches\": [\n");
+    let mut json = String::from("{\n  \"pr\": 12,\n  \"benches\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let speedup = if e.median_ns > 0 && e.baseline_ns > 0 {
             e.baseline_ns as f64 / e.median_ns as f64

@@ -11,10 +11,15 @@
 //!   [`MsgId`] via the shared [`zooid_mpst::Interner`], so matching a queued
 //!   message against an expected one is a single integer comparison;
 //! * every ordered `(sender, receiver)` pair that can ever carry a message
-//!   gets a dense channel id, so a configuration's channels are an indexed
-//!   `Vec` of `MsgId` buffers instead of a `BTreeMap` keyed on role pairs;
-//! * the visited set is an `FxHashMap` over the packed configurations, and
-//!   every configuration records the (parent, action) edge that first
+//!   gets a dense channel id;
+//! * a configuration is one fixed-stride row of `u32` words (`RowLayout`):
+//!   machine states, then per channel a length word and zero-padded message
+//!   slots, so equal configurations are equal words. Visited rows live in
+//!   one arena beside their cached hashes, and the visited set is an
+//!   open-addressed table of arena indices (`Rows`). A successor is written
+//!   into one reused scratch row and found or admitted on the spot: a
+//!   transition costs a row copy, a hash and a probe;
+//! * every configuration records the (parent, action) edge that first
 //!   discovered it, so each violation comes with a shortest replayable
 //!   counterexample trace back to the initial configuration.
 //!
@@ -39,11 +44,11 @@
 //!   liveness fixpoint are all preserved; see the module tests and
 //!   `tests/differential_modes.rs`.
 //! * [`CompiledSystem::explore_parallel`] (in [`crate::parallel`]) runs the
-//!   reduced exploration on a work-stealing frontier over N threads with a
-//!   sharded visited map.
+//!   reduced exploration on a work-stealing frontier over N threads, with
+//!   the same rows in per-shard arenas and tables.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 use zooid_mpst::common::intern::{FxHashMap, FxHasher, MsgId, RoleId};
 use zooid_mpst::{Action, Interner, InternerSnapshot};
@@ -77,80 +82,136 @@ struct ChannelInfo {
     to: RoleId,
 }
 
-/// A packed configuration: machine states as `u32`s plus one message-id
-/// buffer per dense channel, with the 64-bit FxHash of that content cached
-/// inline. Cloning never touches a string, and hashing (visited-set probes,
-/// shard routing in the parallel explorer) writes the cached word instead of
-/// re-walking the vectors.
+/// The shape of a configuration row: `machines` state words, then per dense
+/// channel a length word followed by `slots` message words.
 ///
-/// Invariant: `hash == Self::content_hash(&states, &queues)` whenever the
-/// configuration is compared or inserted anywhere. [`PackedConfig::rehash`]
-/// restores it after in-place mutation.
-#[derive(Debug, Clone)]
-pub(crate) struct PackedConfig {
-    hash: u64,
-    pub(crate) states: Vec<u32>,
-    pub(crate) queues: Vec<Vec<MsgId>>,
+/// Slots hold interned message indices, oldest first, and the words past a
+/// channel's length are zero, so equal configurations are equal rows. No
+/// queue is longer than the BFS is deep, nor the BFS deeper than the budget,
+/// so `bound` here is `min(bound, max_configs)`. An exploration starts at
+/// most [`INITIAL_SLOTS`] wide and starts over twice as wide when a send the
+/// bound allows finds no free slot: the stride follows the longest queue
+/// reached, so a hostile bound neither overflows nor over-allocates it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowLayout {
+    machines: usize,
+    /// Message slots per channel; 0 ⟺ rendezvous (bound 0).
+    slots: usize,
+    bound: usize,
+    /// Words per row.
+    pub(crate) stride: usize,
 }
 
-impl PartialEq for PackedConfig {
-    fn eq(&self, other: &Self) -> bool {
-        // The cached hash is a function of the content: compare it first as
-        // a cheap reject, then confirm on the content itself.
-        self.hash == other.hash && self.states == other.states && self.queues == other.queues
+impl RowLayout {
+    /// Index of the length word of `channel`.
+    fn channel(&self, channel: u32) -> usize {
+        self.machines + channel as usize * (1 + self.slots)
+    }
+
+    /// The messages queued on the channel whose length word is at `base`.
+    fn queue<'r>(&self, row: &'r [u32], base: usize) -> &'r [u32] {
+        &row[base + 1..base + 1 + row[base] as usize]
+    }
+
+    /// Applies machine `m`'s receive `t` to `row` in place: the channel
+    /// head is popped and the rest shifted down over it.
+    fn receive(&self, row: &mut [u32], m: u32, t: CTrans) {
+        let base = self.channel(t.channel);
+        let len = row[base] as usize;
+        row.copy_within(base + 2..base + 1 + len, base + 1);
+        row[base + len] = 0;
+        row[base] -= 1;
+        row[m as usize] = t.target;
     }
 }
 
-impl Eq for PackedConfig {}
+/// Message slots per channel of an exploration's first layout.
+const INITIAL_SLOTS: usize = 4;
 
-impl Hash for PackedConfig {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
+/// Table slot marking an empty bucket of [`Rows`].
+const EMPTY: u32 = u32::MAX;
+
+/// The visited configurations: every row in one arena, in admission order,
+/// with its hash in a parallel vector, and an open-addressed (linear
+/// probing, at most half full) table of arena indices as the visited set.
+#[derive(Debug)]
+pub(crate) struct Rows {
+    stride: usize,
+    words: Vec<u32>,
+    hashes: Vec<u64>,
+    table: Vec<u32>,
 }
 
-impl PackedConfig {
-    pub(crate) fn new(states: Vec<u32>, queues: Vec<Vec<MsgId>>) -> Self {
-        let mut cfg = PackedConfig {
-            hash: 0,
-            states,
-            queues,
-        };
-        cfg.rehash();
-        cfg
-    }
-
-    fn content_hash(states: &[u32], queues: &[Vec<MsgId>]) -> u64 {
-        let mut h = FxHasher::default();
-        for &s in states {
-            h.write_u32(s);
+impl Rows {
+    pub(crate) fn new(stride: usize) -> Self {
+        Rows {
+            stride,
+            words: Vec::new(),
+            hashes: Vec::new(),
+            table: vec![EMPTY; 16],
         }
-        for q in queues {
-            // Length-prefix each buffer so shifting a message between
-            // channels cannot collide by concatenation.
-            h.write_usize(q.len());
-            for &m in q {
-                h.write_u32(m.index() as u32);
+    }
+
+    /// Number of admitted rows.
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    pub(crate) fn row(&self, i: u32) -> &[u32] {
+        let start = i as usize * self.stride;
+        &self.words[start..start + self.stride]
+    }
+
+    /// The index of `row` (whose hash is `hash`) if it was admitted, else
+    /// the empty table slot where [`Rows::insert`] puts it.
+    pub(crate) fn find(&self, row: &[u32], hash: u64) -> Result<u32, usize> {
+        let mask = self.table.len() - 1;
+        let mut pos = hash as usize & mask;
+        loop {
+            let i = self.table[pos];
+            if i == EMPTY {
+                return Err(pos);
+            }
+            if self.hashes[i as usize] == hash && self.row(i) == row {
+                return Ok(i);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Admits `row` at the table slot [`Rows::find`] returned for it.
+    pub(crate) fn insert(&mut self, pos: usize, row: &[u32], hash: u64) -> u32 {
+        let i = u32::try_from(self.len()).expect("state space overflows u32 indices");
+        self.words.extend_from_slice(row);
+        self.hashes.push(hash);
+        self.table[pos] = i;
+        if 2 * self.len() > self.table.len() {
+            self.table = vec![EMPTY; 2 * self.table.len()];
+            for j in 0..=i {
+                let pos = self.find(self.row(j), self.hashes[j as usize]).unwrap_err();
+                self.table[pos] = j;
             }
         }
-        h.finish()
+        i
     }
+}
 
-    /// Recomputes the cached hash after in-place mutation of `states` or
-    /// `queues`.
-    pub(crate) fn rehash(&mut self) {
-        self.hash = Self::content_hash(&self.states, &self.queues);
+/// Hash of a configuration row: FxHash over its words two at a time, then
+/// the murmur3 finaliser, so both the low bits (the visited-table slot) and
+/// the top bits (the parallel explorer's shard) are well mixed.
+pub(crate) fn row_hash(row: &[u32]) -> u64 {
+    let mut h = FxHasher::default();
+    let mut pairs = row.chunks_exact(2);
+    for pair in &mut pairs {
+        h.write_u64(u64::from(pair[0]) | u64::from(pair[1]) << 32);
     }
-
-    /// The cached 64-bit content hash (shard routing key of the parallel
-    /// explorer).
-    pub(crate) fn cached_hash(&self) -> u64 {
-        self.hash
+    for &word in pairs.remainder() {
+        h.write_u32(word);
     }
-
-    pub(crate) fn all_queues_empty(&self) -> bool {
-        self.queues.iter().all(Vec::is_empty)
-    }
+    let mut x = h.finish();
+    x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
 }
 
 /// A [`System`] compiled into dense per-state transition tables over interned
@@ -283,120 +344,138 @@ impl CompiledSystem {
         self.channels.len()
     }
 
-    pub(crate) fn initial_config(&self) -> PackedConfig {
-        PackedConfig::new(self.initial.clone(), vec![Vec::new(); self.channels.len()])
-    }
-
-    pub(crate) fn is_final(&self, cfg: &PackedConfig) -> bool {
-        cfg.all_queues_empty()
-            && cfg
-                .states
-                .iter()
-                .enumerate()
-                .all(|(m, &s)| self.finals[m][s as usize])
-    }
-
-    /// Whether state `s` of machine `m` is final.
-    pub(crate) fn machine_is_final(&self, m: usize, s: u32) -> bool {
-        self.finals[m][s as usize]
-    }
-
-    /// Returns `true` if every machine is in a final state (queues are not
-    /// inspected) — the orphan-message half of the terminal classification.
-    pub(crate) fn all_machines_final(&self, cfg: &PackedConfig) -> bool {
-        cfg.states
-            .iter()
-            .enumerate()
-            .all(|(m, &s)| self.machine_is_final(m, s))
-    }
-
-    /// Classifies a terminal (successor-less, non-final) configuration,
-    /// mirroring the exhaustive explorer's rules: empty queues mean a
-    /// deadlock, all-final machines with messages left mean an orphan, and
-    /// a stuck configuration with messages in flight but no reception
-    /// error is reported as a deadlock (possibly a bound artefact).
-    ///
-    /// Shared by the sequential and parallel explorers so the verdict
-    /// semantics cannot drift apart.
-    pub(crate) fn classify_terminal(
-        &self,
-        cfg: &PackedConfig,
-        unspec: bool,
-    ) -> Option<ViolationKind> {
-        if cfg.all_queues_empty() {
-            Some(ViolationKind::Deadlock)
-        } else if self.all_machines_final(cfg) {
-            Some(ViolationKind::OrphanMessage)
-        } else if !unspec {
-            Some(ViolationKind::Deadlock)
-        } else {
-            None
+    /// The row layout of an exploration at `bound` within `max_configs`,
+    /// `slots` wide (capped by the bound, see [`RowLayout`]).
+    fn layout(&self, bound: usize, max_configs: usize, slots: usize) -> RowLayout {
+        let bound = bound.min(max_configs);
+        let slots = slots.min(bound);
+        RowLayout {
+            machines: self.roles.len(),
+            slots,
+            bound,
+            stride: self.roles.len() + self.channels.len() * (slots + 1),
         }
     }
 
-    /// Enumerates the successors of `cfg` into `out`, in the same order as
-    /// [`System::successors`]: machines in system order, each machine's
-    /// transitions in table order.
-    pub(crate) fn successors(
+    pub(crate) fn initial_row(&self, lay: &RowLayout) -> Vec<u32> {
+        let mut row = vec![0; lay.stride];
+        row[..lay.machines].copy_from_slice(&self.initial);
+        row
+    }
+
+    /// Classifies an expanded configuration `id` with `moves` successors,
+    /// mirroring the exhaustive explorer's rules, and returns whether it is
+    /// final. A stuck non-final configuration is an orphan if every machine
+    /// is final and messages are left, otherwise a deadlock, unless messages
+    /// in flight come with a reception error (reported on its own). Shared
+    /// by the sequential and parallel explorers so the verdict semantics
+    /// cannot drift apart.
+    pub(crate) fn classify<I: Copy>(
         &self,
-        cfg: &PackedConfig,
-        bound: usize,
-        out: &mut Vec<(PackedConfig, u32, CTrans)>,
-    ) {
-        out.clear();
-        for m in 0..self.roles.len() {
-            let state = cfg.states[m] as usize;
-            for &t in &self.tables[m][state] {
+        lay: &RowLayout,
+        row: &[u32],
+        moves: usize,
+        id: I,
+        found: &mut Vec<(ViolationKind, I)>,
+    ) -> bool {
+        let empty = row[lay.machines..].iter().step_by(1 + lay.slots).all(|&len| len == 0);
+        let machines_final = row[..lay.machines]
+            .iter()
+            .enumerate()
+            .all(|(m, &s)| self.finals[m][s as usize]);
+        let is_final = empty && machines_final;
+        let unspec = self.has_unspecified_reception(lay, row);
+        if moves == 0 && !is_final {
+            if empty || (!machines_final && !unspec) {
+                found.push((ViolationKind::Deadlock, id));
+            } else if machines_final {
+                found.push((ViolationKind::OrphanMessage, id));
+            }
+        }
+        if unspec {
+            found.push((ViolationKind::UnspecifiedReception, id));
+        }
+        is_final
+    }
+
+    /// Calls `emit` with each successor of `row` (and the acting machine
+    /// and transition), in the same order as [`System::successors`]:
+    /// machines in system order, each machine's transitions in table order.
+    /// With `reduce` set the partial-order reduction applies: an ample
+    /// configuration expands to its single ample step. Each successor is
+    /// written into `next`, a scratch row of the layout's stride. Returns
+    /// `false` if a send the bound allows found its channel's slots full:
+    /// the exploration must start over on a wider layout.
+    pub(crate) fn expand(
+        &self,
+        lay: &RowLayout,
+        row: &[u32],
+        reduce: bool,
+        next: &mut [u32],
+        emit: &mut impl FnMut(&[u32], u32, CTrans),
+    ) -> bool {
+        if reduce {
+            if let Some((m, t)) = self.ample(lay, row) {
+                next.copy_from_slice(row);
+                lay.receive(next, m, t);
+                emit(next, m, t);
+                return true;
+            }
+        }
+        let mut fits = true;
+        for m in 0..lay.machines {
+            for &t in &self.tables[m][row[m] as usize] {
+                let base = lay.channel(t.channel);
+                let msg = t.msg.index() as u32;
                 match t.dir {
                     // Rendezvous semantics at bound 0: a send fires together
                     // with a matching receive of the partner, atomically.
-                    Direction::Send if bound == 0 => {
+                    Direction::Send if lay.slots == 0 => {
                         if t.partner_machine == u32::MAX {
                             continue;
                         }
                         let pm = t.partner_machine as usize;
-                        let pstate = cfg.states[pm] as usize;
-                        for &rt in &self.tables[pm][pstate] {
+                        for &rt in &self.tables[pm][row[pm] as usize] {
                             if rt.dir == Direction::Recv
                                 && rt.channel == t.channel
                                 && rt.msg == t.msg
                             {
-                                let mut next = cfg.clone();
-                                next.states[m] = t.target;
-                                next.states[pm] = rt.target;
-                                next.rehash();
-                                out.push((next, m as u32, t));
+                                next.copy_from_slice(row);
+                                next[m] = t.target;
+                                next[pm] = rt.target;
+                                emit(next, m as u32, t);
                             }
                         }
                     }
                     Direction::Send => {
-                        if cfg.queues[t.channel as usize].len() >= bound {
+                        let len = row[base] as usize;
+                        if len >= lay.slots {
+                            fits &= len >= lay.bound;
                             continue;
                         }
-                        let mut next = cfg.clone();
-                        next.states[m] = t.target;
-                        next.queues[t.channel as usize].push(t.msg);
-                        next.rehash();
-                        out.push((next, m as u32, t));
+                        next.copy_from_slice(row);
+                        next[m] = t.target;
+                        next[base + 1 + len] = msg;
+                        next[base] += 1;
+                        emit(next, m as u32, t);
                     }
                     Direction::Recv => {
-                        if cfg.queues[t.channel as usize].first() != Some(&t.msg) {
+                        if lay.queue(row, base).first() != Some(&msg) {
                             continue;
                         }
-                        let mut next = cfg.clone();
-                        next.states[m] = t.target;
-                        next.queues[t.channel as usize].remove(0);
-                        next.rehash();
-                        out.push((next, m as u32, t));
+                        next.copy_from_slice(row);
+                        lay.receive(next, m as u32, t);
+                        emit(next, m as u32, t);
                     }
                 }
             }
         }
+        fits
     }
 
     /// Ample-set selection for the partial-order reduction: returns a
     /// machine (and its single enabled receive) whose expansion alone is
-    /// sufficient at `cfg`, or `None` when the configuration must be
+    /// sufficient at `row`, or `None` when the configuration must be
     /// expanded in full.
     ///
     /// A machine `m` in state `s` is *ample* when
@@ -426,22 +505,22 @@ impl CompiledSystem {
     /// configuration via [`CompiledSystem::has_unspecified_reception`]),
     /// while errors at other machines survive an ample step untouched —
     /// the step pops only channel `c`, whose sole receiver is `m`.
-    pub(crate) fn ample(&self, cfg: &PackedConfig, bound: usize) -> Option<(u32, CTrans)> {
-        if bound == 0 {
+    fn ample(&self, lay: &RowLayout, row: &[u32]) -> Option<(u32, CTrans)> {
+        if lay.slots == 0 {
             return None;
         }
-        'machines: for m in 0..self.roles.len() {
-            let table = &self.tables[m][cfg.states[m] as usize];
+        'machines: for m in 0..lay.machines {
+            let table = &self.tables[m][row[m] as usize];
             let Some(first) = table.first() else {
                 continue;
             };
-            let channel = first.channel;
+            let head = lay.queue(row, lay.channel(first.channel)).first();
             let mut chosen: Option<CTrans> = None;
             for &t in table {
-                if t.dir != Direction::Recv || t.channel != channel {
+                if t.dir != Direction::Recv || t.channel != first.channel {
                     continue 'machines;
                 }
-                if Some(&t.msg) == cfg.queues[channel as usize].first() {
+                if Some(&(t.msg.index() as u32)) == head {
                     if chosen.is_some() {
                         // Two matching receives: expanding one would drop a
                         // genuine nondeterministic branch.
@@ -457,56 +536,26 @@ impl CompiledSystem {
         None
     }
 
-    /// Applies an ample receive step, producing the single reduced
-    /// successor.
-    pub(crate) fn apply_ample(&self, cfg: &PackedConfig, m: u32, t: CTrans) -> PackedConfig {
-        debug_assert_eq!(t.dir, Direction::Recv);
-        let mut next = cfg.clone();
-        next.states[m as usize] = t.target;
-        next.queues[t.channel as usize].remove(0);
-        next.rehash();
-        next
-    }
-
-    /// Enumerates successors with the partial-order reduction applied when
-    /// `reduce` is set: an ample configuration expands to its single ample
-    /// step, everything else expands in full.
-    pub(crate) fn expand(
-        &self,
-        cfg: &PackedConfig,
-        bound: usize,
-        reduce: bool,
-        out: &mut Vec<(PackedConfig, u32, CTrans)>,
-    ) {
-        if reduce {
-            if let Some((m, t)) = self.ample(cfg, bound) {
-                out.clear();
-                out.push((self.apply_ample(cfg, m, t), m, t));
-                return;
-            }
-        }
-        self.successors(cfg, bound, out);
-    }
-
-    /// Mirrors `System::has_unspecified_reception` on packed configurations:
-    /// some machine is in a receiving state and the head of a corresponding
-    /// channel cannot be consumed by any of its transitions.
-    pub(crate) fn has_unspecified_reception(&self, cfg: &PackedConfig) -> bool {
-        for m in 0..self.roles.len() {
-            let state = cfg.states[m] as usize;
-            let table = &self.tables[m][state];
+    /// Mirrors `System::has_unspecified_reception` on rows: some machine is
+    /// in a receiving state and the head of a corresponding channel cannot
+    /// be consumed by any of its transitions.
+    fn has_unspecified_reception(&self, lay: &RowLayout, row: &[u32]) -> bool {
+        for m in 0..lay.machines {
+            let table = &self.tables[m][row[m] as usize];
             for t in table {
                 // A state may list several receives on the same channel;
                 // re-checking that channel's head is idempotent, so no dedup.
                 if t.dir != Direction::Recv {
                     continue;
                 }
-                let Some(&head) = cfg.queues[t.channel as usize].first() else {
+                let Some(&head) = lay.queue(row, lay.channel(t.channel)).first() else {
                     continue;
                 };
-                let handled = table
-                    .iter()
-                    .any(|t2| t2.dir == Direction::Recv && t2.channel == t.channel && t2.msg == head);
+                let handled = table.iter().any(|t2| {
+                    t2.dir == Direction::Recv
+                        && t2.channel == t.channel
+                        && t2.msg.index() as u32 == head
+                });
                 if !handled {
                     return true;
                 }
@@ -515,22 +564,23 @@ impl CompiledSystem {
         false
     }
 
-    /// Decodes a packed configuration back into the role-keyed form used by
+    /// Decodes a row back into the role-keyed form used by
     /// [`System::successors`] and the counterexample traces.
-    pub(crate) fn decode(&self, cfg: &PackedConfig) -> SystemConfig {
+    fn decode(&self, lay: &RowLayout, row: &[u32]) -> SystemConfig {
         let mut channels = BTreeMap::new();
-        for (c, queue) in cfg.queues.iter().enumerate() {
+        for (c, info) in self.channels.iter().enumerate() {
+            let queue = lay.queue(row, lay.channel(c as u32));
             if queue.is_empty() {
                 continue;
             }
-            let info = self.channels[c];
             let key = (
                 self.snapshot.role(info.from).clone(),
                 self.snapshot.role(info.to).clone(),
             );
             let msgs: VecDeque<_> = queue
                 .iter()
-                .map(|&mid| {
+                .map(|&word| {
+                    let mid = MsgId::from_index(word as usize).expect("a u32 index");
                     let (l, s) = self.snapshot.msg(mid);
                     (self.snapshot.label(l).clone(), self.snapshot.sort(s).clone())
                 })
@@ -538,13 +588,13 @@ impl CompiledSystem {
             channels.insert(key, msgs);
         }
         SystemConfig {
-            states: cfg.states.iter().map(|&s| s as usize).collect(),
+            states: row[..lay.machines].iter().map(|&s| s as usize).collect(),
             channels,
         }
     }
 
     /// Reconstructs the [`CfsmAction`] of a compiled transition.
-    pub(crate) fn action(&self, t: CTrans) -> CfsmAction {
+    fn action(&self, t: CTrans) -> CfsmAction {
         let info = self.channels[t.channel as usize];
         let partner = match t.dir {
             Direction::Send => info.to,
@@ -559,27 +609,32 @@ impl CompiledSystem {
         }
     }
 
-    /// Walks the parent pointers from `idx` back to the initial configuration
-    /// and returns the forward trace (one step per edge, each carrying the
-    /// configuration it leads to).
-    fn trace_to(
+    /// Materialises the violation `kind` found at configuration `id`: its
+    /// decoded row, and the trace along the discovery edges (`parent`) back
+    /// to the initial configuration.
+    pub(crate) fn violation<'r, I: Copy>(
         &self,
-        idx: u32,
-        configs: &[PackedConfig],
-        parents: &[Option<(u32, u32, CTrans)>],
-    ) -> Vec<TraceStep> {
-        let mut rev: Vec<TraceStep> = Vec::new();
-        let mut cur = idx;
-        while let Some((parent, machine, trans)) = parents[cur as usize] {
-            rev.push(TraceStep {
+        lay: &RowLayout,
+        (kind, id): (ViolationKind, I),
+        row: impl Fn(I) -> &'r [u32],
+        parent: impl Fn(I) -> Option<(I, u32, CTrans)>,
+    ) -> Violation {
+        let mut trace = Vec::new();
+        let mut cur = id;
+        while let Some((up, machine, trans)) = parent(cur) {
+            trace.push(TraceStep {
                 role: self.roles[machine as usize].clone(),
                 action: self.action(trans),
-                config: self.decode(&configs[cur as usize]),
+                config: self.decode(lay, row(cur)),
             });
-            cur = parent;
+            cur = up;
         }
-        rev.reverse();
-        rev
+        trace.reverse();
+        Violation {
+            kind,
+            config: self.decode(lay, row(id)),
+            trace,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -721,7 +776,7 @@ impl CompiledSystem {
     /// The outcome of the degenerate `max_configs == 0` limit: not even the
     /// initial configuration may be admitted (matching the exhaustive
     /// explorer, which truncates before expanding anything).
-    pub(crate) fn empty_outcome() -> ExplorationOutcome {
+    fn empty_outcome() -> ExplorationOutcome {
         ExplorationOutcome {
             configurations: 0,
             transitions: 0,
@@ -735,7 +790,7 @@ impl CompiledSystem {
         }
     }
 
-    /// Worklist BFS over the packed state space, mirroring the verdicts and
+    /// Worklist BFS over the row state space, mirroring the verdicts and
     /// counts of [`System::explore_exhaustive`] while recording parent
     /// pointers so every violation carries a shortest replayable trace.
     ///
@@ -745,12 +800,12 @@ impl CompiledSystem {
     /// this costs nothing; on heavily-unsafe inputs with deep state spaces
     /// it is O(violations × depth) decodes after the BFS finishes.
     pub fn explore(&self, bound: usize, max_configs: usize) -> ExplorationOutcome {
-        self.explore_impl(bound, max_configs, false)
+        self.widening(bound, max_configs, |lay| self.bfs(lay, max_configs, false))
     }
 
     /// Like [`CompiledSystem::explore`], but with the ample-set
-    /// partial-order reduction enabled (see [`CompiledSystem::ample`] for
-    /// the exact condition and its soundness argument).
+    /// partial-order reduction enabled (see `CompiledSystem::ample` for the
+    /// exact condition and its soundness argument).
     ///
     /// The reduction collapses commuting interleavings before they are
     /// generated, so `configurations` / `transitions` counts shrink and
@@ -761,19 +816,40 @@ impl CompiledSystem {
     /// [`System::successors`]. At `bound == 0` no configuration is ever
     /// ample, so the mode coincides with [`CompiledSystem::explore`].
     pub fn explore_por(&self, bound: usize, max_configs: usize) -> ExplorationOutcome {
-        self.explore_impl(bound, max_configs, true)
+        self.widening(bound, max_configs, |lay| self.bfs(lay, max_configs, true))
     }
 
-    fn explore_impl(&self, bound: usize, max_configs: usize, reduce: bool) -> ExplorationOutcome {
+    /// Runs `explore` on layouts of doubling width (see [`RowLayout`]) until
+    /// one is wide enough, i.e. `explore` returns `Some`. A zero budget
+    /// admits nothing, not even the initial configuration.
+    pub(crate) fn widening(
+        &self,
+        bound: usize,
+        max_configs: usize,
+        mut explore: impl FnMut(&RowLayout) -> Option<ExplorationOutcome>,
+    ) -> ExplorationOutcome {
         if max_configs == 0 {
             return Self::empty_outcome();
         }
-        let mut visited: FxHashMap<PackedConfig, u32> = FxHashMap::default();
-        let mut configs: Vec<PackedConfig> = Vec::new();
-        let mut parents: Vec<Option<(u32, u32, CTrans)>> = Vec::new();
-        // Successor indices per expanded configuration (for the liveness
-        // fixpoint) and final-configuration indices.
-        let mut succ_lists: Vec<Vec<u32>> = Vec::new();
+        let mut slots = INITIAL_SLOTS;
+        loop {
+            let lay = self.layout(bound, max_configs, slots);
+            if let Some(outcome) = explore(&lay) {
+                return outcome;
+            }
+            slots = 2 * lay.slots;
+        }
+    }
+
+    /// The BFS of [`CompiledSystem::explore`] on one layout; `None` if the
+    /// layout is too narrow.
+    fn bfs(&self, lay: &RowLayout, max_configs: usize, reduce: bool) -> Option<ExplorationOutcome> {
+        let mut rows = Rows::new(lay.stride);
+        let mut parents: Vec<Option<(u32, u32, CTrans)>> = vec![None];
+        // Admitted successors of each configuration (for the liveness
+        // fixpoint), as CSR: those of `i` are `succ[offsets[i]..offsets[i + 1]]`.
+        let mut offsets: Vec<usize> = vec![0];
+        let mut succ: Vec<u32> = Vec::new();
         let mut final_indices: Vec<u32> = Vec::new();
 
         // Violations are recorded as (kind, index) during the BFS and
@@ -785,78 +861,72 @@ impl CompiledSystem {
         let mut final_reachable = false;
         let mut live = true;
 
-        let init = self.initial_config();
-        visited.insert(init.clone(), 0);
-        configs.push(init);
-        parents.push(None);
+        let init = self.initial_row(lay);
+        let hash = row_hash(&init);
+        rows.insert(rows.find(&init, hash).unwrap_err(), &init, hash);
 
-        let mut succs: Vec<(PackedConfig, u32, CTrans)> = Vec::new();
+        let mut cur = init;
+        let mut next = vec![0; lay.stride];
         let mut head = 0usize;
-        while head < configs.len() {
+        while head < rows.len() {
             let idx = head as u32;
             head += 1;
+            cur.copy_from_slice(rows.row(idx));
 
-            let cfg = &configs[idx as usize];
-            self.expand(cfg, bound, reduce, &mut succs);
-            transitions += succs.len();
+            let mut moves = 0usize;
+            let fits = self.expand(lay, &cur, reduce, &mut next, &mut |row, machine, trans| {
+                moves += 1;
+                let hash = row_hash(row);
+                match rows.find(row, hash) {
+                    Ok(j) => succ.push(j),
+                    Err(_) if rows.len() >= max_configs => truncated = true,
+                    Err(pos) => {
+                        succ.push(rows.insert(pos, row, hash));
+                        parents.push(Some((idx, machine, trans)));
+                    }
+                }
+            });
+            if !fits {
+                return None;
+            }
+            offsets.push(succ.len());
+            transitions += moves;
 
-            let is_final = self.is_final(cfg);
+            let is_final = self.classify(lay, &cur, moves, idx, &mut found);
             if is_final {
                 final_reachable = true;
                 final_indices.push(idx);
             }
-            live &= is_final || !succs.is_empty();
-
-            let unspec = self.has_unspecified_reception(cfg);
-            if succs.is_empty() && !is_final {
-                if let Some(kind) = self.classify_terminal(cfg, unspec) {
-                    found.push((kind, idx));
-                }
-            }
-            if unspec {
-                found.push((ViolationKind::UnspecifiedReception, idx));
-            }
-
-            let mut list = Vec::with_capacity(succs.len());
-            for (next, machine, trans) in succs.drain(..) {
-                if let Some(&j) = visited.get(&next) {
-                    list.push(j);
-                    continue;
-                }
-                if configs.len() >= max_configs {
-                    truncated = true;
-                    continue;
-                }
-                let j = configs.len() as u32;
-                visited.insert(next.clone(), j);
-                configs.push(next);
-                parents.push(Some((idx, machine, trans)));
-                list.push(j);
-            }
-            succ_lists.push(list);
+            live &= is_final || moves > 0;
         }
 
         // Liveness, second half: when the protocol can terminate and the
         // whole bounded state space was covered, termination must remain
         // reachable from every configuration (backwards BFS from the finals).
         if final_reachable && live && !truncated {
-            let mut preds: Vec<Vec<u32>> = vec![Vec::new(); configs.len()];
-            for (i, list) in succ_lists.iter().enumerate() {
-                for &j in list {
-                    preds[j as usize].push(i as u32);
-                }
-            }
-            live = all_can_finish(&preds, final_indices);
+            let edges = (0..rows.len()).flat_map(|i| {
+                succ[offsets[i]..offsets[i + 1]].iter().map(move |&j| (i as u32, j))
+            });
+            live = all_can_finish(rows.len(), edges, final_indices);
         }
 
-        let violations: Vec<Violation> = found
+        let violations = found
             .into_iter()
-            .map(|(kind, idx)| Violation {
-                kind,
-                config: self.decode(&configs[idx as usize]),
-                trace: self.trace_to(idx, &configs, &parents),
-            })
+            .map(|v| self.violation(lay, v, |i| rows.row(i), |i| parents[i as usize]))
             .collect();
+        Some(Self::outcome(rows.len(), transitions, truncated, final_reachable, live, violations))
+    }
+
+    /// Assembles an [`ExplorationOutcome`], filing each violation's
+    /// configuration under its kind.
+    pub(crate) fn outcome(
+        configurations: usize,
+        transitions: usize,
+        truncated: bool,
+        final_reachable: bool,
+        live: bool,
+        violations: Vec<Violation>,
+    ) -> ExplorationOutcome {
         let pick = |kind: ViolationKind| {
             violations
                 .iter()
@@ -865,7 +935,7 @@ impl CompiledSystem {
                 .collect::<Vec<_>>()
         };
         ExplorationOutcome {
-            configurations: configs.len(),
+            configurations,
             transitions,
             deadlocks: pick(ViolationKind::Deadlock),
             orphan_messages: pick(ViolationKind::OrphanMessage),
@@ -878,18 +948,37 @@ impl CompiledSystem {
     }
 }
 
-/// Backwards reachability of the final configurations over per-node
-/// predecessor lists: `true` iff *every* explored configuration can reach
-/// one of `final_indices`. Shared by the sequential and parallel explorers
-/// (they build `preds` from their own layouts and agree on the fixpoint).
-pub(crate) fn all_can_finish(preds: &[Vec<u32>], final_indices: Vec<u32>) -> bool {
-    let mut can_finish = vec![false; preds.len()];
+/// Backwards reachability of the final configurations over the `(from, to)`
+/// edges of the explored graph on `nodes` dense indices: `true` iff *every*
+/// explored configuration can reach one of `final_indices`. Shared by the
+/// sequential and parallel explorers.
+pub(crate) fn all_can_finish(
+    nodes: usize,
+    edges: impl Iterator<Item = (u32, u32)> + Clone,
+    final_indices: Vec<u32>,
+) -> bool {
+    // Predecessors in CSR form: those of `j` are `preds[at[j]..at[j + 1]]`.
+    let mut at = vec![0usize; nodes + 1];
+    for (_, j) in edges.clone() {
+        at[j as usize + 1] += 1;
+    }
+    for j in 0..nodes {
+        at[j + 1] += at[j];
+    }
+    let mut fill = at.clone();
+    let mut preds = vec![0u32; at[nodes]];
+    for (i, j) in edges {
+        preds[fill[j as usize]] = i;
+        fill[j as usize] += 1;
+    }
+
+    let mut can_finish = vec![false; nodes];
     let mut stack = final_indices;
     for &i in &stack {
         can_finish[i as usize] = true;
     }
     while let Some(i) = stack.pop() {
-        for &p in &preds[i as usize] {
+        for &p in &preds[at[i as usize]..at[i as usize + 1]] {
             if !can_finish[p as usize] {
                 can_finish[p as usize] = true;
                 stack.push(p);

@@ -16,11 +16,11 @@
 //! * [`engine::CompiledSystem`] is the interned state-space engine behind
 //!   [`system::System::explore`]: machines compile once into dense per-state
 //!   transition tables whose actions are interned `(label, sort)` ids from
-//!   the shared [`zooid_mpst::Interner`], configurations pack into machine
-//!   states plus indexed channel buffers of message ids (with their 64-bit
-//!   content hash cached inline, so visited-set probes and shard routing
-//!   hash one word), and a worklist BFS over an `FxHashMap` visited set
-//!   records parent pointers so every violation carries a shortest
+//!   the shared [`zooid_mpst::Interner`], a configuration is one
+//!   fixed-stride row of `u32` words (machine states, then per channel a
+//!   length word and zero-padded message slots) in an arena of visited rows
+//!   with cached hashes and an open-addressed visited table, and a worklist
+//!   BFS records parent pointers so every violation carries a shortest
 //!   replayable counterexample trace ([`system::Violation`]). The original
 //!   explicit-state explorer is kept as
 //!   [`system::System::explore_exhaustive`] and serves as an independent
@@ -40,7 +40,7 @@
 //!   for why this is sound for bounded-FIFO systems, including the
 //!   structural cycle proviso), and [`system::System::explore_parallel`]
 //!   runs the same reduced search on a **work-stealing frontier** of N
-//!   threads over a visited map sharded by the cached configuration hash
+//!   threads over the same rows, in visited sets sharded by row hash
 //!   ([`parallel`]). Both agree with [`system::System::explore`] and
 //!   [`system::System::explore_exhaustive`] on verdicts, termination
 //!   reachability and liveness (`tests/differential_modes.rs`), and every

@@ -8,12 +8,13 @@
 //!
 //! * each worker owns a `crossbeam::deque::Worker` FIFO and steals from its
 //!   peers (and from the seeding `Injector`) when its own queue drains;
-//! * the visited map is split into [`SHARDS`] shards, each an `FxHashMap`
-//!   behind a `parking_lot::Mutex`; a configuration is routed to its shard
-//!   by the top bits of the 64-bit content hash cached inside
-//!   [`PackedConfig`], so insert-or-lookup never re-hashes the state and
-//!   two workers only contend when they touch the same shard at the same
-//!   instant;
+//! * configurations are the sequential engine's fixed-stride rows; the
+//!   visited set is split into `SHARDS` shards, each a row arena with its
+//!   open-addressed table behind a `parking_lot::Mutex`; a row is hashed
+//!   once and routed to its shard by the top bits of that hash, so two
+//!   workers only contend when they touch the same shard at the same
+//!   instant, and a job carries its row so expansion never locks its home
+//!   shard;
 //! * every shard slot records the `(parent, machine, transition)` edge that
 //!   first discovered the configuration, so violations still carry a
 //!   replayable counterexample trace (parent order is discovery order,
@@ -33,20 +34,18 @@
 //! subset depends on scheduling, exactly as the sequential engines'
 //! truncated prefixes depend on expansion order.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::Backoff;
 use parking_lot::Mutex;
 
-use zooid_mpst::common::intern::FxHashMap;
+use crate::engine::{all_can_finish, row_hash, CTrans, CompiledSystem, RowLayout, Rows};
+use crate::system::{ExplorationOutcome, Violation, ViolationKind};
 
-use crate::engine::{all_can_finish, CTrans, CompiledSystem, PackedConfig};
-use crate::system::{ExplorationOutcome, TraceStep, Violation, ViolationKind};
-
-/// Number of visited-map shards (a power of two; the routing key is the top
-/// `SHARD_BITS` of the cached configuration hash, where FxHash concentrates
-/// its entropy).
+/// Number of visited-set shards (a power of two; the routing key is the top
+/// `SHARD_BITS` of the row hash).
 const SHARD_BITS: u32 = 6;
 const SHARDS: usize = 1 << SHARD_BITS;
 
@@ -70,33 +69,28 @@ fn shard_of(hash: u64) -> usize {
     (hash >> (64 - SHARD_BITS)) as usize
 }
 
-/// One shard of the visited map.
-#[derive(Default)]
+/// One shard of the visited set.
 struct Shard {
-    /// Cached content hash → slots holding configurations with that hash
-    /// (a collision list, almost always of length 1). Keying on the `u64`
-    /// means a probe hashes one word, never the packed vectors.
-    buckets: FxHashMap<u64, Vec<u32>>,
-    configs: Vec<PackedConfig>,
+    rows: Rows,
     /// `(parent gid, acting machine, transition)` discovery edge per slot;
     /// `None` for the initial configuration.
     parents: Vec<Option<(Gid, u32, CTrans)>>,
 }
 
-/// A unit of work: one admitted configuration to expand. The configuration
-/// travels with the job so expansion never locks its home shard.
+/// A unit of work: one admitted configuration to expand, with its row.
 struct Job {
     gid: Gid,
-    cfg: PackedConfig,
+    row: Box<[u32]>,
 }
 
 /// What one worker learned about one expanded configuration (merged into
 /// the liveness fixpoint after the workers join).
 struct ExpandRecord {
     gid: Gid,
-    /// Admitted or already-visited successors (truncation-dropped ones are
-    /// absent, exactly like the sequential engines' successor lists).
-    succs: Vec<Gid>,
+    /// Where this configuration's admitted or already-visited successors
+    /// sit in [`WorkerOut::succs`] (truncation-dropped ones are absent,
+    /// exactly like the sequential engine's successor lists).
+    succs: Range<usize>,
     /// Raw successor count before admission filtering — what the
     /// "every configuration can move or is final" half of liveness reads.
     raw_succs: usize,
@@ -109,12 +103,13 @@ struct WorkerOut {
     transitions: usize,
     found: Vec<(ViolationKind, Gid)>,
     expanded: Vec<ExpandRecord>,
+    succs: Vec<Gid>,
 }
 
 /// Shared state of one parallel exploration.
 struct Pool<'a> {
     sys: &'a CompiledSystem,
-    bound: usize,
+    lay: RowLayout,
     max_configs: usize,
     shards: Vec<Mutex<Shard>>,
     injector: Injector<Job>,
@@ -124,6 +119,8 @@ struct Pool<'a> {
     /// budget).
     admitted: AtomicUsize,
     truncated: AtomicBool,
+    /// Some send found its channel's slots full: the layout is too narrow.
+    widen: AtomicBool,
     done: AtomicBool,
 }
 
@@ -137,34 +134,39 @@ enum Inserted {
 }
 
 impl<'a> Pool<'a> {
-    fn new(sys: &'a CompiledSystem, bound: usize, max_configs: usize) -> Self {
+    fn new(sys: &'a CompiledSystem, lay: RowLayout, max_configs: usize) -> Self {
         Pool {
             sys,
-            bound,
+            lay,
             max_configs,
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        rows: Rows::new(lay.stride),
+                        parents: Vec::new(),
+                    })
+                })
+                .collect(),
             injector: Injector::new(),
             in_flight: AtomicUsize::new(0),
             admitted: AtomicUsize::new(0),
             truncated: AtomicBool::new(false),
+            widen: AtomicBool::new(false),
             done: AtomicBool::new(false),
         }
     }
 
-    /// Inserts `cfg` into its shard (routed by the cached hash), recording
+    /// Inserts `row` into its shard (routed by its hash), recording
     /// `parent` as its discovery edge if it is new.
-    fn insert(&self, cfg: &PackedConfig, parent: Option<(Gid, u32, CTrans)>) -> Inserted {
-        let hash = cfg.cached_hash();
+    fn insert(&self, row: &[u32], parent: Option<(Gid, u32, CTrans)>) -> Inserted {
+        let hash = row_hash(row);
         let s = shard_of(hash);
         let mut guard = self.shards[s].lock();
         let shard = &mut *guard;
-        if let Some(slots) = shard.buckets.get(&hash) {
-            for &slot in slots {
-                if &shard.configs[slot as usize] == cfg {
-                    return Inserted::Existing(gid(s, slot));
-                }
-            }
-        }
+        let pos = match shard.rows.find(row, hash) {
+            Ok(slot) => return Inserted::Existing(gid(s, slot)),
+            Err(pos) => pos,
+        };
         // Admission under the global budget. The counter may transiently
         // overshoot by the number of racing workers; the losing increments
         // are rolled back and never admit a configuration.
@@ -174,57 +176,42 @@ impl<'a> Pool<'a> {
             self.truncated.store(true, Ordering::Relaxed);
             return Inserted::Truncated;
         }
-        let slot = u32::try_from(shard.configs.len()).expect("shard overflow");
-        shard.buckets.entry(hash).or_default().push(slot);
-        shard.configs.push(cfg.clone());
+        let slot = shard.rows.insert(pos, row, hash);
         shard.parents.push(parent);
         Inserted::New(gid(s, slot))
     }
 
-    /// Expands one job: classify it, admit its successors, queue the fresh
-    /// ones on the worker's own deque. `succs` is the worker's reusable
-    /// expansion buffer (one allocation per worker, not per configuration).
-    fn process(
-        &self,
-        job: Job,
-        local: &Worker<Job>,
-        succs: &mut Vec<(PackedConfig, u32, CTrans)>,
-        out: &mut WorkerOut,
-    ) {
-        self.sys.expand(&job.cfg, self.bound, true, succs);
-        out.transitions += succs.len();
-
-        let is_final = self.sys.is_final(&job.cfg);
-        let unspec = self.sys.has_unspecified_reception(&job.cfg);
-        if succs.is_empty() && !is_final {
-            if let Some(kind) = self.sys.classify_terminal(&job.cfg, unspec) {
-                out.found.push((kind, job.gid));
-            }
-        }
-        if unspec {
-            out.found.push((ViolationKind::UnspecifiedReception, job.gid));
-        }
-
-        let raw_succs = succs.len();
-        let mut list = Vec::with_capacity(succs.len());
-        for (next, machine, trans) in succs.drain(..) {
-            match self.insert(&next, Some((job.gid, machine, trans))) {
+    /// Expands one job: admit its successors, queue the fresh ones on the
+    /// worker's own deque, classify it. `next` is the worker's scratch row
+    /// (one allocation per worker, not per successor).
+    fn process(&self, job: Job, local: &Worker<Job>, next: &mut [u32], out: &mut WorkerOut) {
+        let (sys, lay) = (self.sys, &self.lay);
+        let mut raw_succs = 0usize;
+        let start = out.succs.len();
+        let fits = sys.expand(lay, &job.row, true, next, &mut |row, machine, trans| {
+            raw_succs += 1;
+            match self.insert(row, Some((job.gid, machine, trans))) {
                 Inserted::New(g) => {
                     // Count the token *before* the job becomes stealable so
                     // `in_flight` can never under-report outstanding work.
                     self.in_flight.fetch_add(1, Ordering::AcqRel);
-                    local.push(Job { gid: g, cfg: next });
-                    list.push(g);
+                    local.push(Job { gid: g, row: row.into() });
+                    out.succs.push(g);
                 }
-                Inserted::Existing(g) => list.push(g),
+                Inserted::Existing(g) => out.succs.push(g),
                 Inserted::Truncated => {}
             }
+        });
+        if !fits {
+            self.widen.store(true, Ordering::Relaxed);
         }
+        out.transitions += raw_succs;
+
         out.expanded.push(ExpandRecord {
             gid: job.gid,
-            succs: list,
+            succs: start..out.succs.len(),
             raw_succs,
-            is_final,
+            is_final: sys.classify(lay, &job.row, raw_succs, job.gid, &mut out.found),
         });
     }
 
@@ -252,7 +239,8 @@ impl<'a> Pool<'a> {
     }
 
     /// One worker: drain the local deque, steal from the injector and the
-    /// peers, back off while idle, exit when the in-flight count hits zero.
+    /// peers, back off while idle, exit when the in-flight count hits zero
+    /// (or, at once, when the row layout proves too narrow).
     ///
     /// A worker that panics mid-job would leave its in-flight token counted
     /// forever and hang its peers in the backoff loop (and the scope join
@@ -270,12 +258,12 @@ impl<'a> Pool<'a> {
         let _guard = DoneOnUnwind(&self.done);
 
         let mut backoff = Backoff::new();
-        let mut succs: Vec<(PackedConfig, u32, CTrans)> = Vec::new();
-        loop {
+        let mut next = vec![0; self.lay.stride];
+        while !self.widen.load(Ordering::Relaxed) {
             match local.pop().or_else(|| self.steal(stealers)) {
                 Some(job) => {
                     backoff.reset();
-                    self.process(job, local, &mut succs, out);
+                    self.process(job, local, &mut next, out);
                     if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
                         self.done.store(true, Ordering::Release);
                     }
@@ -288,6 +276,48 @@ impl<'a> Pool<'a> {
                 }
             }
         }
+    }
+
+    /// Seeds the initial configuration and runs `threads` workers until the
+    /// exploration is over or the layout proves too narrow.
+    fn run(&self, threads: usize) -> Vec<WorkerOut> {
+        // Seed: the initial configuration is always admitted (max_configs
+        // >= 1 here) and enters through the injector.
+        let init = self.sys.initial_row(&self.lay);
+        let seed = match self.insert(&init, None) {
+            Inserted::New(g) => g,
+            _ => unreachable!("fresh pool admits the initial configuration"),
+        };
+        self.in_flight.store(1, Ordering::Release);
+        self.injector.push(Job {
+            gid: seed,
+            row: init.into(),
+        });
+
+        let workers: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_fifo()).collect();
+        let stealers: Vec<Stealer<Job>> = workers.iter().map(Worker::stealer).collect();
+        let mut outs: Vec<WorkerOut> = (0..threads).map(|_| WorkerOut::default()).collect();
+
+        if threads == 1 {
+            let mut out = outs.pop().expect("one accumulator");
+            self.run_worker(&workers[0], &[], &mut out);
+            outs.push(out);
+        } else {
+            std::thread::scope(|scope| {
+                for (w, (worker, out)) in workers.iter().zip(outs.iter_mut()).enumerate() {
+                    // Each worker steals from every peer but itself.
+                    let peers: Vec<Stealer<Job>> = stealers
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| *i != w)
+                        .map(|(_, s)| s.clone())
+                        .collect();
+                    scope.spawn(move || self.run_worker(worker, &peers, out));
+                }
+            });
+        }
+
+        outs
     }
 }
 
@@ -309,88 +339,47 @@ impl CompiledSystem {
         max_configs: usize,
         threads: usize,
     ) -> ExplorationOutcome {
-        if max_configs == 0 {
-            return Self::empty_outcome();
-        }
         let threads = threads.max(1);
-        let pool = Pool::new(self, bound, max_configs);
-
-        // Seed: the initial configuration is always admitted (max_configs
-        // >= 1 here) and enters through the injector.
-        let init = self.initial_config();
-        let seed = match pool.insert(&init, None) {
-            Inserted::New(g) => g,
-            _ => unreachable!("fresh pool admits the initial configuration"),
-        };
-        pool.in_flight.store(1, Ordering::Release);
-        pool.injector.push(Job {
-            gid: seed,
-            cfg: init,
-        });
-
-        let workers: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Job>> = workers.iter().map(Worker::stealer).collect();
-        let mut outs: Vec<WorkerOut> = (0..threads).map(|_| WorkerOut::default()).collect();
-
-        if threads == 1 {
-            let mut out = outs.pop().expect("one accumulator");
-            pool.run_worker(&workers[0], &[], &mut out);
-            outs.push(out);
-        } else {
-            std::thread::scope(|scope| {
-                for (w, (worker, out)) in workers.iter().zip(outs.iter_mut()).enumerate() {
-                    // Each worker steals from every peer but itself.
-                    let peers: Vec<Stealer<Job>> = stealers
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != w)
-                        .map(|(_, s)| s.clone())
-                        .collect();
-                    let pool = &pool;
-                    scope.spawn(move || pool.run_worker(worker, &peers, out));
-                }
-            });
-        }
-
-        self.merge(pool, outs)
+        self.widening(bound, max_configs, |lay| {
+            let pool = Pool::new(self, *lay, max_configs);
+            let outs = pool.run(threads);
+            (!pool.widen.load(Ordering::Relaxed)).then(|| self.merge(pool, outs))
+        })
     }
 
     /// Merges the per-worker accumulators and shard tables into the final
     /// [`ExplorationOutcome`] (liveness fixpoint, violation materialisation).
     fn merge(&self, pool: Pool<'_>, outs: Vec<WorkerOut>) -> ExplorationOutcome {
+        let lay = pool.lay;
         let shards: Vec<Shard> = pool.shards.into_iter().map(Mutex::into_inner).collect();
+        let row = |g: Gid| shards[gid_shard(g)].rows.row(gid_slot(g) as u32);
 
         // Dense re-indexing: prefix offsets turn a (shard, slot) gid into a
         // contiguous index for the fixpoint's side arrays.
-        let mut offsets = Vec::with_capacity(SHARDS);
+        let mut starts = Vec::with_capacity(SHARDS);
         let mut total = 0usize;
         for shard in &shards {
-            offsets.push(total);
-            total += shard.configs.len();
+            starts.push(total);
+            total += shard.rows.len();
         }
-        let dense = |g: Gid| offsets[gid_shard(g)] + gid_slot(g);
+        let dense = |g: Gid| starts[gid_shard(g)] + gid_slot(g);
 
         let mut transitions = 0usize;
         let mut found: Vec<(ViolationKind, Gid)> = Vec::new();
         let mut final_reachable = false;
         let mut live = true;
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); total];
         let mut final_dense: Vec<u32> = Vec::new();
         let truncated = pool.truncated.load(Ordering::Relaxed);
 
-        for out in outs {
+        for out in &outs {
             transitions += out.transitions;
-            found.extend(out.found);
-            for rec in out.expanded {
-                let idx = dense(rec.gid) as u32;
+            found.extend_from_slice(&out.found);
+            for rec in &out.expanded {
                 if rec.is_final {
                     final_reachable = true;
-                    final_dense.push(idx);
+                    final_dense.push(dense(rec.gid) as u32);
                 }
                 live &= rec.is_final || rec.raw_succs > 0;
-                for &succ in &rec.succs {
-                    preds[dense(succ)].push(idx);
-                }
             }
         }
 
@@ -401,7 +390,13 @@ impl CompiledSystem {
         // terminal configurations are reachable from where, so running the
         // fixpoint on the reduced graph yields the full graph's answer.
         if final_reachable && live && !truncated {
-            live = all_can_finish(&preds, final_dense);
+            let edges = outs.iter().flat_map(|out| {
+                out.expanded.iter().flat_map(move |rec| {
+                    let from = dense(rec.gid) as u32;
+                    out.succs[rec.succs.clone()].iter().map(move |&g| (from, dense(g) as u32))
+                })
+            });
+            live = all_can_finish(total, edges, final_dense);
         }
 
         // Materialise violations: decode each offending configuration and
@@ -409,48 +404,10 @@ impl CompiledSystem {
         // runs (whose worker interleavings differ) in one canonical order.
         let mut violations: Vec<Violation> = found
             .into_iter()
-            .map(|(kind, g)| {
-                let config = self.decode(&shards[gid_shard(g)].configs[gid_slot(g)]);
-                let mut trace: Vec<TraceStep> = Vec::new();
-                let mut cur = g;
-                while let Some((parent, machine, trans)) =
-                    shards[gid_shard(cur)].parents[gid_slot(cur)]
-                {
-                    trace.push(TraceStep {
-                        role: self.roles()[machine as usize].clone(),
-                        action: self.action(trans),
-                        config: self.decode(&shards[gid_shard(cur)].configs[gid_slot(cur)]),
-                    });
-                    cur = parent;
-                }
-                trace.reverse();
-                Violation {
-                    kind,
-                    config,
-                    trace,
-                }
-            })
+            .map(|v| self.violation(&lay, v, row, |g| shards[gid_shard(g)].parents[gid_slot(g)]))
             .collect();
         violations.sort_by(|a, b| (a.kind, &a.config).cmp(&(b.kind, &b.config)));
-
-        let pick = |kind: ViolationKind| {
-            violations
-                .iter()
-                .filter(|v| v.kind == kind)
-                .map(|v| v.config.clone())
-                .collect::<Vec<_>>()
-        };
-        ExplorationOutcome {
-            configurations: total,
-            transitions,
-            deadlocks: pick(ViolationKind::Deadlock),
-            orphan_messages: pick(ViolationKind::OrphanMessage),
-            unspecified_receptions: pick(ViolationKind::UnspecifiedReception),
-            truncated,
-            final_reachable,
-            live,
-            violations,
-        }
+        Self::outcome(total, transitions, truncated, final_reachable, live, violations)
     }
 }
 

@@ -303,7 +303,6 @@ impl System {
             let state = config.states[idx];
             let recv_transitions: Vec<_> = machine
                 .transitions_from(state)
-                .into_iter()
                 .filter(|(_, a, _)| a.direction == Direction::Recv)
                 .collect();
             if recv_transitions.is_empty() {

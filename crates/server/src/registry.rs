@@ -4,8 +4,10 @@
 //! Registration runs the whole front half of the pipeline — well-formedness
 //! (already checked by [`Protocol::new`]), projection onto every participant,
 //! per-role CFSM compilation, [`System::compile`] and a **safety check** of
-//! the compiled system (the parallel reduced exploration of the CFSM
-//! engine, under a configurable [`SafetyBudget`]) — and caches the result
+//! the compiled system (the reduced exploration of the CFSM engine under a
+//! configurable [`SafetyBudget`]: by default the sequential engine on the
+//! registering thread, the work-stealing pool when the budget asks for more
+//! than one thread) — and caches the result
 //! behind an `Arc` keyed by a dense [`ProtocolId`]. Starting a session is
 //! then a lookup plus a few clones of interned tables' handles: the paper's
 //! per-session analysis cost is paid exactly once per protocol, no matter
@@ -49,6 +51,8 @@ const PROGRAM_CACHE_CAP: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyBudget {
     /// FIFO bound per ordered role pair during exploration (0 = rendezvous).
+    /// No queue grows longer than the search is deep, so a bound above
+    /// `max_configs` explores exactly what `max_configs` does.
     pub channel_bound: usize,
     /// Maximum visited configurations before the verdict degrades to
     /// [`Verdict::Inconclusive`].
@@ -93,6 +97,13 @@ impl ProtocolId {
     }
 }
 
+/// Compiled endpoint programs, keyed by `(role, process)`.
+type ProgramCache = Vec<(Role, Proc, Arc<EndpointProgram>)>;
+
+/// Batch layouts, keyed by the resolved program set (`None`: the set is not
+/// batch-eligible).
+type LayoutCache = Vec<(Vec<Arc<EndpointProgram>>, Option<Arc<BatchLayout>>)>;
+
 /// Everything the server needs to run sessions of one protocol, compiled
 /// once at registration time.
 #[derive(Debug)]
@@ -112,14 +123,14 @@ pub struct ProtocolArtifacts {
     /// of a role shares one lowered program with its action templates
     /// pre-interned against `compiled`. Lazily filled (sessions bring their
     /// own processes), hence the interior mutability.
-    programs: Mutex<Vec<(Role, Proc, Arc<EndpointProgram>)>>,
+    programs: Mutex<ProgramCache>,
     /// Batchable-layout descriptors ([`BatchLayout`]), cached per resolved
     /// program set. The key holds the `Arc`s themselves (compared by
     /// pointer identity) — keeping the programs alive is what makes the
     /// identity comparison sound against allocator address reuse. `None` is
     /// cached too: a program set that is not batch-eligible is not
     /// re-analysed per session.
-    batch_layouts: Mutex<Vec<(Vec<Arc<EndpointProgram>>, Option<Arc<BatchLayout>>)>>,
+    batch_layouts: Mutex<LayoutCache>,
 }
 
 impl ProtocolArtifacts {
@@ -189,7 +200,7 @@ impl ProtocolArtifacts {
         proc: &Proc,
         externals: &Externals,
     ) -> Option<Arc<EndpointProgram>> {
-        let lookup = |cache: &Vec<(Role, Proc, Arc<EndpointProgram>)>| {
+        let lookup = |cache: &ProgramCache| {
             cache
                 .iter()
                 .find(|(cached_role, cached_proc, _)| cached_role == role && cached_proc == proc)
@@ -238,7 +249,7 @@ impl ProtocolArtifacts {
             resolved[pos] = Some(self.endpoint_program(cert.role(), cert.proc(), externals)?);
         }
         let programs: Vec<Arc<EndpointProgram>> = resolved.into_iter().collect::<Option<_>>()?;
-        let lookup = |cache: &Vec<(Vec<Arc<EndpointProgram>>, Option<Arc<BatchLayout>>)>| {
+        let lookup = |cache: &LayoutCache| {
             cache
                 .iter()
                 .find(|(key, _)| {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the zooid workspace: release build, full test-suite, and a
 # bench-report smoke run that validates the machine-readable benchmark
-# report (BENCH_pr10.json schema) without paying full measurement budgets.
+# report (BENCH_pr12.json schema) without paying full measurement budgets.
 #
 # The smoke bench-report is also the explore_parallel smoke suite: it runs
 # the work-stealing explorer at threads=2 and asserts verdict and
@@ -14,6 +14,11 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo build --release"
 cargo build --release
+
+echo "== cargo clippy -p zooid-cfsm --all-targets --no-deps -- -D warnings"
+# The first crate held to a warning-free lint. --no-deps keeps the gate on
+# this crate: its workspace dependencies are not lint-clean yet.
+cargo clippy -p zooid-cfsm --all-targets --no-deps -- -D warnings
 
 echo "== cargo test --workspace -q"
 # The root manifest is both a package and a workspace: a bare `cargo test`
@@ -53,7 +58,7 @@ cargo test --release -q -p zooid-server --test crash_recovery
 echo "== bench-report smoke (includes explore_parallel threads=2 agreement checks)"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-report="$tmpdir/BENCH_pr10.json"
+report="$tmpdir/BENCH_pr12.json"
 cargo run --release -p zooid-bench --bin bench-report -- --smoke --out "$report" >/dev/null
 
 echo "== validating $report"
@@ -65,7 +70,7 @@ import sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
 
-assert report["pr"] == 10, f"unexpected pr marker: {report['pr']}"
+assert report["pr"] == 12, f"unexpected pr marker: {report['pr']}"
 benches = report["benches"]
 families = {e["bench"] for e in benches}
 for family in (
@@ -156,6 +161,7 @@ assert all(e["median_ns"] > 0 for e in explore), "cfsm_explore medians must be p
 por = [e for e in benches if e["bench"] == "cfsm_explore_por"]
 assert all(e["median_ns"] > 0 and e["baseline_ns"] > 0 for e in por)
 assert all("residual" in e["case"] for e in por), "POR cases must record residual sizes"
+assert any("cap50000" in e["case"] for e in por), "expected a POR case at the registry budget"
 par = [e for e in benches if e["bench"] == "cfsm_explore_par"]
 assert any("threads1" in e["case"] for e in par), "expected a 1-thread case"
 assert any("threads2" in e["case"] for e in par), "expected a 2-thread case"
@@ -170,7 +176,7 @@ print(
 EOF
 else
     # Fallback when python3 is unavailable: shape-check with grep.
-    grep -q '"pr": 10' "$report"
+    grep -q '"pr": 12' "$report"
     grep -q '"bench": "cfsm_explore"' "$report"
     grep -q '"bench": "cfsm_explore_por"' "$report"
     grep -q '"bench": "cfsm_explore_par"' "$report"
