@@ -1,4 +1,4 @@
-//! Emits a machine-readable benchmark report (`BENCH_pr12.json`) so future
+//! Emits a machine-readable benchmark report (`BENCH_pr13.json`) so future
 //! PRs can track the performance trajectory of the hot paths.
 //!
 //! For every scalable protocol family (`ring`, `chain`, `fanout`) at sizes
@@ -65,7 +65,7 @@
 //!   `server_throughput` figure from the same run — the delta *is* the
 //!   wire.
 //!
-//! One family tracks the columnar data plane added in PR 6:
+//! Two families track the columnar data plane added in PR 6:
 //!
 //! * `batch_step` — per-visible-action cost of the **columnar batch
 //!   executor** ([`zooid_runtime::SessionBatch`]: struct-of-arrays state,
@@ -74,7 +74,13 @@
 //!   against the per-session compiled executor plus `CompiledMonitor` — the
 //!   slab configuration the server falls back to — running the same
 //!   sessions one at a time. Both sides are fire-and-forget (trace
-//!   recording off); measured at several batch widths.
+//!   recording off); measured at several batch widths, plus `/record`
+//!   cases where both sides record traces and the batch side rebuilds each
+//!   outcome from its compact block;
+//! * `batch_handoff` — per-session cost of a recording batch whose
+//!   outcomes are rebuilt and dropped on a second thread (the server's
+//!   shape), against the same batches consumed on the stepping thread,
+//!   alternated in one run.
 //!
 //! One family tracks the observability plane added in PR 8:
 //!
@@ -109,7 +115,7 @@
 //!   engines visit identical configuration counts before timing them).
 //!
 //! Run with `cargo run --release -p zooid-bench --bin bench-report`; writes
-//! `BENCH_pr12.json` in the current directory. `--smoke` shrinks sizes and
+//! `BENCH_pr13.json` in the current directory. `--smoke` shrinks sizes and
 //! budgets for CI smoke runs, `--out PATH` redirects the report.
 
 use std::sync::Arc;
@@ -126,7 +132,7 @@ use zooid_mpst::trace_equiv::{check_trace_equivalence, check_trace_equivalence_e
 use zooid_mpst::{Action, Label, Role, Sort};
 use zooid_cfsm::CompiledSystem;
 use zooid_proc::{erase, CompiledProc, Externals, Proc};
-use zooid_runtime::cbatch::{BatchLayout, SessionBatch};
+use zooid_runtime::cbatch::{BatchLayout, OutcomeBlock, SessionBatch};
 use zooid_runtime::checkpoint::SessionCheckpoint;
 use zooid_runtime::wal::{encode_quantum, encode_quantum_naive, WalIndexer};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
@@ -338,9 +344,9 @@ fn run_compiled_session(
 }
 
 /// The same cooperative schedule over compiled tasks with a live
-/// [`CompiledMonitor`] observing every action (trace recording off) — the
-/// per-session slab configuration the batch executor replaces, used as the
-/// `batch_step` baseline.
+/// [`CompiledMonitor`] observing every action (recording the trace when
+/// `options` record actions) — the per-session slab configuration the
+/// batch executor replaces, used as the `batch_step` baseline.
 fn run_monitored_session(
     programs: &[(Role, Arc<EndpointProgram>)],
     system: &Arc<CompiledSystem>,
@@ -348,7 +354,7 @@ fn run_monitored_session(
 ) -> usize {
     let roles: Vec<Role> = programs.iter().map(|(r, _)| r.clone()).collect();
     let mut monitor = CompiledMonitor::new(Arc::clone(system));
-    monitor.set_record_trace(false);
+    monitor.set_record_trace(options.record_actions);
     drive_session(
         &roles,
         |role| {
@@ -436,6 +442,39 @@ fn run_tree_session(procs: &[(Role, Proc)], options: &ExecOptions) -> usize {
     )
 }
 
+/// Compiles a bench family's skeleton session for the batch plane: one
+/// program per role, sorted by role, and the [`BatchLayout`] over them and
+/// the protocol's compiled system.
+fn skeleton_batch(g: &GlobalType) -> (Vec<(Role, Arc<EndpointProgram>)>, Arc<BatchLayout>) {
+    let system = Arc::new(
+        System::from_global(g)
+            .expect("bench families are projectable")
+            .compile(),
+    );
+    let externals = Externals::new();
+    let mut programs: Vec<(Role, Arc<EndpointProgram>)> = project_all(g)
+        .expect("bench families are projectable")
+        .into_iter()
+        .map(|(role, local)| {
+            let proc =
+                zooid_server::synth::skeleton_proc(&local).expect("bench families synthesize");
+            let compiled =
+                CompiledProc::compile(&proc, &role, &externals).expect("skeletons compile");
+            let program = EndpointProgram::with_system(Arc::new(compiled), &system);
+            (role, Arc::new(program))
+        })
+        .collect();
+    programs.sort_by(|a, b| a.0.cmp(&b.0));
+    let roles: Arc<[Role]> = programs.iter().map(|(r, _)| r.clone()).collect();
+    let layout = BatchLayout::new(
+        roles,
+        programs.iter().map(|(_, p)| Arc::clone(p)).collect(),
+        system,
+    )
+    .expect("bench skeletons are batch-eligible");
+    (programs, layout)
+}
+
 fn seed_baseline(table: &[(&str, u64)], case: &str) -> u64 {
     table
         .iter()
@@ -452,7 +491,7 @@ struct Options {
 fn parse_args() -> Options {
     let mut opts = Options {
         smoke: false,
-        out: "BENCH_pr12.json".to_owned(),
+        out: "BENCH_pr13.json".to_owned(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -793,68 +832,38 @@ fn main() {
     // (cohort stepping over struct-of-arrays state, shared frame arena,
     // zero-hash monitoring) vs the per-session compiled executor with a
     // live monitor — the slab configuration it replaces — running the same
-    // population one session at a time. Fire-and-forget on both sides.
+    // population one session at a time. Fire-and-forget on both sides,
+    // except in the `/record` cases: there both sides record the value
+    // traces and the global trace, and the batch side also rebuilds every
+    // finished session's outcome from its block, as a server consumer does.
     // The batch object is reused across iterations (slots recycle), which
     // is the server's steady state; the slab rebuilds each session, which
     // is the slab's steady state.
     // ------------------------------------------------------------------
-    let batch_cases: Vec<(String, GlobalType, Option<usize>, usize)> = if opts.smoke {
+    let batch_cases: Vec<(String, GlobalType, Option<usize>, usize, bool)> = if opts.smoke {
         vec![
-            ("ring/4".into(), generators::ring_n(4), None, 64),
-            ("fanout_loop/4".into(), fanout_loop(4), Some(64), 64),
+            ("ring/4".into(), generators::ring_n(4), None, 64, false),
+            ("fanout_loop/4".into(), fanout_loop(4), Some(64), 64, false),
+            ("ring/4".into(), generators::ring_n(4), None, 64, true),
         ]
     } else {
         vec![
-            ("ring/4".into(), generators::ring_n(4), None, 64),
-            ("ring/4".into(), generators::ring_n(4), None, 256),
-            ("fanout_loop/4".into(), fanout_loop(4), Some(256), 64),
-            ("fanout_loop/4".into(), fanout_loop(4), Some(256), 256),
+            ("ring/4".into(), generators::ring_n(4), None, 64, false),
+            ("ring/4".into(), generators::ring_n(4), None, 256, false),
+            ("fanout_loop/4".into(), fanout_loop(4), Some(256), 64, false),
+            ("fanout_loop/4".into(), fanout_loop(4), Some(256), 256, false),
+            ("ring/4".into(), generators::ring_n(4), None, 64, true),
+            ("ring/4".into(), generators::ring_n(4), None, 256, true),
         ]
     };
-    for (case, g, max_steps, width) in &batch_cases {
-        let mut procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let proc = zooid_server::synth::skeleton_proc(&local)
-                    .expect("bench families synthesize");
-                (role, proc)
-            })
-            .collect();
-        procs.sort_by(|a, b| a.0.cmp(&b.0));
-        let system = Arc::new(
-            System::from_global(g)
-                .expect("bench families are projectable")
-                .compile(),
-        );
-        let externals = Externals::new();
-        let programs: Vec<(Role, Arc<EndpointProgram>)> = procs
-            .iter()
-            .map(|(role, proc)| {
-                let compiled =
-                    CompiledProc::compile(proc, role, &externals).expect("skeletons compile");
-                (
-                    role.clone(),
-                    Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system)),
-                )
-            })
-            .collect();
-        let roles: Arc<[Role]> = procs
-            .iter()
-            .map(|(r, _)| r.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let layout = BatchLayout::new(
-            roles,
-            programs.iter().map(|(_, p)| Arc::clone(p)).collect(),
-            Arc::clone(&system),
-        )
-        .expect("bench skeletons are batch-eligible");
+    for (case, g, max_steps, width, record) in &batch_cases {
+        let (programs, layout) = skeleton_batch(g);
+        let system = Arc::clone(layout.system());
         let options = match max_steps {
             Some(steps) => ExecOptions::with_max_steps(*steps),
             None => ExecOptions::default(),
         }
-        .record_actions(false);
+        .record_actions(*record);
 
         // Probe once: both data planes must perform the same number of
         // visible actions per session (looping cases end at the step limit
@@ -881,6 +890,9 @@ fn main() {
                 }
                 let out = batch.run_quantum(usize::MAX);
                 std::hint::black_box(out.actions);
+                if *record {
+                    out.finished.into_iter().for_each(|o| drop(std::hint::black_box(o)));
+                }
             },
             if opts.smoke { 5 } else { 15 },
             if opts.smoke { 300 } else { 5_000 },
@@ -894,12 +906,72 @@ fn main() {
             if opts.smoke { 3 } else { 9 },
             if opts.smoke { 500 } else { 8_000 },
         );
+        let mode = if *record { "/record" } else { "" };
         entries.push(Entry {
             bench: "batch_step",
-            case: format!("{case}/w{width}/actions{actions_total}/peraction"),
+            case: format!("{case}/w{width}{mode}/actions{actions_total}/peraction"),
             median_ns: (ns / actions_total as u64).max(1),
             baseline_ns: (baseline_ns / actions_total as u64).max(1),
             baseline: "per-session CompiledEndpointTask + CompiledMonitor (same sessions, same run)",
+        });
+    }
+
+    // ------------------------------------------------------------------
+    // batch_handoff: where a batched session's outcome is consumed. Trace
+    // recording on; each timed run steps `quanta` full batches, and every
+    // finished session's outcome is rebuilt from its block and dropped
+    // either on a second thread (the server's shape: shards step, the
+    // submitter collects) or on the stepping thread. Per-session ns, the
+    // two sides alternated in one run; speedup = same-thread / handoff.
+    // ------------------------------------------------------------------
+    let handoff_widths: &[usize] = if opts.smoke { &[64] } else { &[64, 512] };
+    let (_, ring4_layout) = skeleton_batch(&generators::ring_n(4));
+    for &width in handoff_widths {
+        let quanta = 16usize;
+        let mut batch = SessionBatch::new(Arc::clone(&ring4_layout), ExecOptions::default(), width);
+        let step = |batch: &mut SessionBatch| {
+            for token in 0..width {
+                assert!(batch.admit(token as u64), "batch sized for the width");
+            }
+            let out = batch.run_quantum(usize::MAX);
+            assert_eq!(out.finished.len(), width, "ring/4 sessions conclude in the batch");
+            out.finished
+        };
+        let (handoff_ns, same_ns) = std::thread::scope(|scope| {
+            let (block_tx, block_rx) = std::sync::mpsc::channel::<OutcomeBlock>();
+            let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+            scope.spawn(move || {
+                for block in block_rx {
+                    block.into_iter().for_each(|o| drop(std::hint::black_box(o)));
+                    let _ = done_tx.send(());
+                }
+            });
+            paired_median_ns(
+                |handoff| {
+                    for _ in 0..quanta {
+                        let block = step(&mut batch);
+                        if handoff {
+                            block_tx.send(block).expect("consumer alive");
+                        } else {
+                            block.into_iter().for_each(|o| drop(std::hint::black_box(o)));
+                        }
+                    }
+                    if handoff {
+                        for _ in 0..quanta {
+                            done_rx.recv().expect("consumer alive");
+                        }
+                    }
+                },
+                if opts.smoke { 5 } else { 31 },
+            )
+        });
+        let sessions = (quanta * width) as u64;
+        entries.push(Entry {
+            bench: "batch_handoff",
+            case: format!("ring/4/w{width}/record/persession"),
+            median_ns: (handoff_ns / sessions).max(1),
+            baseline_ns: (same_ns / sessions).max(1),
+            baseline: "outcomes rebuilt and dropped on the stepping thread (same batches, same run)",
         });
     }
 
@@ -927,37 +999,7 @@ fn main() {
         ]
     };
     for (case, g, max_steps, width) in &obs_cases {
-        let mut procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let proc = zooid_server::synth::skeleton_proc(&local)
-                    .expect("bench families synthesize");
-                (role, proc)
-            })
-            .collect();
-        procs.sort_by(|a, b| a.0.cmp(&b.0));
-        let system = Arc::new(
-            System::from_global(g)
-                .expect("bench families are projectable")
-                .compile(),
-        );
-        let externals = Externals::new();
-        let programs: Vec<Arc<EndpointProgram>> = procs
-            .iter()
-            .map(|(role, proc)| {
-                let compiled =
-                    CompiledProc::compile(proc, role, &externals).expect("skeletons compile");
-                Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
-            })
-            .collect();
-        let roles: Arc<[Role]> = procs
-            .iter()
-            .map(|(r, _)| r.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let layout = BatchLayout::new(roles, programs, Arc::clone(&system))
-            .expect("bench skeletons are batch-eligible");
+        let (_, layout) = skeleton_batch(g);
         let options = match max_steps {
             Some(steps) => ExecOptions::with_max_steps(*steps),
             None => ExecOptions::default(),
@@ -1393,37 +1435,7 @@ fn main() {
         ("fanout_loop/4".into(), fanout_loop(4), Some(256), 200),
     ];
     for (case, g, max_steps, kill_after) in &ckpt_cases {
-        let mut procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let proc = zooid_server::synth::skeleton_proc(&local)
-                    .expect("bench families synthesize");
-                (role, proc)
-            })
-            .collect();
-        procs.sort_by(|a, b| a.0.cmp(&b.0));
-        let system = Arc::new(
-            System::from_global(g)
-                .expect("bench families are projectable")
-                .compile(),
-        );
-        let externals = Externals::new();
-        let programs: Vec<Arc<EndpointProgram>> = procs
-            .iter()
-            .map(|(role, proc)| {
-                let compiled =
-                    CompiledProc::compile(proc, role, &externals).expect("skeletons compile");
-                Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
-            })
-            .collect();
-        let roles: Arc<[Role]> = procs
-            .iter()
-            .map(|(r, _)| r.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let layout = BatchLayout::new(roles, programs.clone(), Arc::clone(&system))
-            .expect("bench skeletons are batch-eligible");
+        let (_, layout) = skeleton_batch(g);
         let options = match max_steps {
             Some(steps) => ExecOptions::with_max_steps(*steps),
             None => ExecOptions::default(),
@@ -1446,7 +1458,7 @@ fn main() {
             || {
                 let restored = SessionCheckpoint::decode(std::hint::black_box(&bytes))
                     .expect("own encoding decodes")
-                    .into_demoted(&programs, &system)
+                    .into_demoted(layout.programs(), layout.system())
                     .expect("own checkpoint re-validates");
                 std::hint::black_box(restored.endpoints.len());
             },
@@ -1489,37 +1501,7 @@ fn main() {
         ("fanout_loop/4".into(), fanout_loop(4), Some(64)),
     ];
     for (case, g, max_steps) in &wal_cases {
-        let mut procs: Vec<(Role, Proc)> = project_all(g)
-            .expect("bench families are projectable")
-            .into_iter()
-            .map(|(role, local)| {
-                let proc = zooid_server::synth::skeleton_proc(&local)
-                    .expect("bench families synthesize");
-                (role, proc)
-            })
-            .collect();
-        procs.sort_by(|a, b| a.0.cmp(&b.0));
-        let system = Arc::new(
-            System::from_global(g)
-                .expect("bench families are projectable")
-                .compile(),
-        );
-        let externals = Externals::new();
-        let programs: Vec<Arc<EndpointProgram>> = procs
-            .iter()
-            .map(|(role, proc)| {
-                let compiled =
-                    CompiledProc::compile(proc, role, &externals).expect("skeletons compile");
-                Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
-            })
-            .collect();
-        let roles: Arc<[Role]> = procs
-            .iter()
-            .map(|(r, _)| r.clone())
-            .collect::<Vec<_>>()
-            .into();
-        let layout = BatchLayout::new(roles, programs.clone(), Arc::clone(&system))
-            .expect("bench skeletons are batch-eligible");
+        let (_, layout) = skeleton_batch(g);
         let options = match max_steps {
             Some(steps) => ExecOptions::with_max_steps(*steps),
             None => ExecOptions::default(),
@@ -1532,8 +1514,8 @@ fn main() {
         let indexer = WalIndexer::new(layout.programs());
         // Concluded sessions report their actions in `finished`; looping
         // cases end at the step limit and leave as demoted stragglers.
-        let records: Vec<_> = out
-            .finished
+        let finished: Vec<_> = out.finished.into_iter().collect();
+        let records: Vec<_> = finished
             .iter()
             .flat_map(|o| o.endpoints.iter())
             .flat_map(|r| r.actions.iter())
@@ -1568,7 +1550,7 @@ fn main() {
         });
     }
 
-    let mut json = String::from("{\n  \"pr\": 12,\n  \"benches\": [\n");
+    let mut json = String::from("{\n  \"pr\": 13,\n  \"benches\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let speedup = if e.median_ns > 0 && e.baseline_ns > 0 {
             e.baseline_ns as f64 / e.median_ns as f64

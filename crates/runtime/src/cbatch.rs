@@ -10,24 +10,41 @@
 //! redundant. This module splits a session population the other way:
 //!
 //! * the **skeleton** — the compiled per-role programs
-//!   ([`EndpointProgram`]), the protocol's compiled transition tables and
-//!   the derived routing tables ([`BatchLayout`]: dense peer indices and a
-//!   batch-wide wire-label table) — is shared once per batch;
+//!   ([`EndpointProgram`]) with their per-site action templates, the
+//!   protocol's compiled transition tables and the derived routing tables
+//!   ([`BatchLayout`]: dense peer indices and a batch-wide wire-label
+//!   table) — is shared once per batch;
 //! * the **variables** — program counters, step counts, value slots,
-//!   monitor cursors, traces — live in struct-of-arrays *columns* indexed
-//!   by session slot ([`SessionBatch`]). Value slots are laid out per-slot
-//!   across sessions (`slots[slot * capacity + session]`), so a cohort of
-//!   sessions executing the same instruction reads and writes contiguous
-//!   memory.
+//!   monitor cursors and a compact action log — live in struct-of-arrays
+//!   *columns* indexed by session slot ([`SessionBatch`]). Value slots are
+//!   laid out per-slot across sessions (`slots[slot * capacity + session]`),
+//!   so a cohort of sessions executing the same instruction reads and
+//!   writes contiguous memory.
 //!
 //! Each scheduling pass groups live endpoints by `(role, pc)` and steps
 //! every cohort with a tight loop: the instruction, its
 //! [`ActionTemplate`](crate::cexec::ActionTemplate), the peer index and the
-//! wire label are resolved **once per cohort**, and sends between co-batched
-//! endpoints are index writes into a shared frame arena — no per-channel
-//! `VecDeque` behind a `RefCell`, no role or label comparison, and
-//! zero-hash monitoring via the pre-interned actions
+//! wire label are resolved **once per cohort**, and sends between
+//! co-batched endpoints are index writes into a shared frame arena — no
+//! per-channel `VecDeque` behind a `RefCell`, no role or label comparison,
+//! and zero-hash monitoring via the pre-interned actions
 //! ([`zooid_cfsm::CompiledSystem::observe_interned`]).
+//!
+//! **Traces are a compact log.** The stepping loop builds no [`Action`],
+//! [`ValueAction`], [`Role`] or [`Label`]: each visible action appends one
+//! `(role, event, position, direction, verdict, value)` entry to its
+//! session's log, where `event` indexes the role's templates and
+//! `position` counts the monitor's observations. The log *is* the
+//! session's monitored history — the per-endpoint value traces, the
+//! accepted global trace and the monitor's violations are all functions of
+//! it — and one function, `rebuild`, turns it back into those traces from
+//! the shared templates. With recording off
+//! ([`ExecOptions::record_actions`]) only the rejected actions are logged:
+//! the violations are all that is left to rebuild. A concluded session leaves as a compact entry of
+//! an [`OutcomeBlock`] (its log and statuses moved into the quantum's flat
+//! buffers), and the traces are rebuilt only when an [`OutcomeBlock`] is
+//! iterated into [`BatchOutcome`]s — on whichever thread asks for them. A
+//! demoted session's traces are rebuilt at demotion by the same function.
 //!
 //! A session is **batch-eligible** when every role's program avoids
 //! external actions (`read`/`write`/`interact` run arbitrary host closures)
@@ -223,14 +240,14 @@ impl FrameQueue {
 /// metrics, the sessions that concluded, the sessions that demoted to the
 /// slab executor, and cohort statistics (a cohort is one `(role, pc)` run
 /// of a scheduling pass).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BatchQuantum {
     /// Visible communications performed (sends + receives).
     pub actions: usize,
     /// Sends among them (message-routing metric).
     pub sends: usize,
-    /// Sessions that ran to a conclusion inside the batch.
-    pub finished: Vec<BatchOutcome>,
+    /// Sessions that ran to a conclusion inside the batch, in compact form.
+    pub finished: OutcomeBlock,
     /// Sessions pulled out mid-flight for the slab executor.
     pub demoted: Vec<DemotedSession>,
     /// Number of `(role, pc)` cohorts stepped.
@@ -246,10 +263,248 @@ pub struct BatchQuantum {
     pub cohort_widths: [u64; 16],
 }
 
+/// One action of a batched session as its log keeps it: which role
+/// performed which of its program's communication sites (`event` indexes
+/// the role's [`EndpointProgram::templates`]), its position among the
+/// monitor's observations, in which direction, whether the monitor
+/// accepted it, and the payload (`Value::Unit` when recording is off).
+/// Everything else an [`Action`] or [`ValueAction`] holds comes from the
+/// shared template.
+#[derive(Debug)]
+struct LogEntry {
+    role: u32,
+    event: u32,
+    position: u32,
+    send: bool,
+    accepted: bool,
+    value: Value,
+}
+
+/// A session's log turned back into what it stands for.
+struct Rebuilt {
+    /// Per-endpoint value traces, in batch role order (empty when
+    /// recording is off).
+    actions: Vec<Vec<ValueAction>>,
+    /// The monitor-accepted global trace (empty when recording is off).
+    trace: Trace,
+    /// Every rejected action, with its position among the observed ones.
+    violations: Vec<MonitorViolation>,
+}
+
+/// Rebuilds a session's traces from its log: the one place a batched
+/// session's [`ValueAction`]s, accepted [`Trace`] and [`MonitorViolation`]s
+/// are made, whether the session concluded in the batch
+/// ([`OutcomeBlock`]'s iterator) or was demoted. Each entry's role, peer,
+/// label and sort come from `layout`'s templates; the value is moved out
+/// of the log.
+fn rebuild(
+    layout: &BatchLayout,
+    record: bool,
+    log: impl ExactSizeIterator<Item = LogEntry>,
+) -> Rebuilt {
+    let mut actions: Vec<Vec<ValueAction>> = layout.roles.iter().map(|_| Vec::new()).collect();
+    let mut trace = Vec::with_capacity(log.len());
+    let mut violations: Vec<MonitorViolation> = Vec::new();
+    for entry in log {
+        let r = entry.role as usize;
+        let role = &layout.roles[r];
+        let template = &layout.programs[r].templates()[entry.event as usize];
+        let sort = template
+            .static_sort
+            .as_ref()
+            .expect("batch-eligible templates have static sorts");
+        let action = || {
+            let (peer, label) = (template.peer.clone(), template.label.clone());
+            if entry.send {
+                Action::send(role.clone(), peer, label, sort.clone())
+            } else {
+                Action::recv(role.clone(), peer, label, sort.clone())
+            }
+        };
+        if entry.accepted {
+            // Accepted actions are logged only while recording.
+            trace.push(action());
+        } else {
+            // Every rejection is logged, so the accepted actions before
+            // this one are the observations before it minus the rejections.
+            let position = entry.position as usize;
+            violations.push(MonitorViolation {
+                action: action(),
+                position,
+                trace_len: position - violations.len(),
+            });
+        }
+        if record {
+            let (peer, label, sort) = (template.peer.clone(), template.label.clone(), sort.clone());
+            actions[r].push(if entry.send {
+                ValueAction::send(role.clone(), peer, label, sort, entry.value)
+            } else {
+                ValueAction::recv(role.clone(), peer, label, sort, entry.value)
+            });
+        }
+    }
+    Rebuilt {
+        actions,
+        trace: Trace::from(trace),
+        violations,
+    }
+}
+
+/// The compact summary of one session in an [`OutcomeBlock`]: what its
+/// outcome says without its traces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FinishedSession {
+    /// The caller-supplied session token (see [`SessionBatch::admit`]).
+    pub token: u64,
+    /// `true` if the monitor observed no violation.
+    pub compliant: bool,
+    /// `true` if the protocol ran to completion.
+    pub complete: bool,
+    /// `true` if the session was closed without finishing (shutdown).
+    pub stalled: bool,
+    /// The number of actions the monitor rejected.
+    pub violations: usize,
+    /// The number of actions the endpoints recorded, summed over endpoints
+    /// (zero when recording is off).
+    pub actions: usize,
+    /// Entries of the block's log that belong to this session.
+    logged: usize,
+}
+
+/// The sessions one quantum (or [`SessionBatch::close_all`]) concluded,
+/// kept compact: a [`FinishedSession`] summary each, plus every session's
+/// log and endpoint statuses moved into two flat buffers — three heap
+/// blocks per quantum, whatever its population. [`OutcomeBlock::iter`]
+/// reads the summaries; iterating the block by value rebuilds each
+/// session's full [`BatchOutcome`] on the iterating thread.
+#[derive(Debug)]
+pub struct OutcomeBlock {
+    layout: Arc<BatchLayout>,
+    record: bool,
+    sessions: Vec<FinishedSession>,
+    log: Vec<LogEntry>,
+    statuses: Vec<EndpointStatus>,
+}
+
+impl OutcomeBlock {
+    fn new(layout: Arc<BatchLayout>, record: bool) -> Self {
+        OutcomeBlock {
+            layout,
+            record,
+            sessions: Vec::new(),
+            log: Vec::new(),
+            statuses: Vec::new(),
+        }
+    }
+
+    /// The concluded sessions' summaries, in conclusion order.
+    pub fn iter(&self) -> std::slice::Iter<'_, FinishedSession> {
+        self.sessions.iter()
+    }
+
+    /// The number of concluded sessions.
+    pub fn len(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// Returns `true` if no session concluded.
+    pub fn is_empty(&self) -> bool {
+        self.sessions.is_empty()
+    }
+}
+
+impl<'a> IntoIterator for &'a OutcomeBlock {
+    type Item = &'a FinishedSession;
+    type IntoIter = std::slice::Iter<'a, FinishedSession>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.sessions.iter()
+    }
+}
+
+impl IntoIterator for OutcomeBlock {
+    type Item = BatchOutcome;
+    type IntoIter = BlockOutcomes;
+
+    fn into_iter(self) -> BlockOutcomes {
+        BlockOutcomes {
+            layout: self.layout,
+            record: self.record,
+            sessions: self.sessions.into_iter(),
+            log: self.log.into_iter(),
+            statuses: self.statuses.into_iter(),
+        }
+    }
+}
+
+/// An [`OutcomeBlock`] being consumed: each step rebuilds one session's
+/// [`BatchOutcome`] from the block's log ([`Iterator::next`]) or passes
+/// over it with its summary only ([`BlockOutcomes::skip_one`]).
+#[derive(Debug)]
+pub struct BlockOutcomes {
+    layout: Arc<BatchLayout>,
+    record: bool,
+    sessions: std::vec::IntoIter<FinishedSession>,
+    log: std::vec::IntoIter<LogEntry>,
+    statuses: std::vec::IntoIter<EndpointStatus>,
+}
+
+impl BlockOutcomes {
+    /// The summary of the session the next step yields.
+    pub fn peek(&self) -> Option<&FinishedSession> {
+        self.sessions.as_slice().first()
+    }
+
+    /// Passes over the next session without rebuilding its traces,
+    /// returning its summary.
+    pub fn skip_one(&mut self) -> Option<FinishedSession> {
+        let session = self.sessions.next()?;
+        let endpoints = self.layout.roles.len();
+        self.log.by_ref().take(session.logged).for_each(drop);
+        self.statuses.by_ref().take(endpoints).for_each(drop);
+        Some(session)
+    }
+}
+
+impl Iterator for BlockOutcomes {
+    type Item = BatchOutcome;
+
+    fn next(&mut self) -> Option<BatchOutcome> {
+        let session = self.sessions.next()?;
+        let log = self.log.by_ref().take(session.logged);
+        let rebuilt = rebuild(&self.layout, self.record, log);
+        let endpoints = rebuilt
+            .actions
+            .into_iter()
+            .zip(self.layout.roles.iter())
+            .map(|(actions, role)| EndpointReport {
+                role: role.clone(),
+                actions,
+                status: self.statuses.next().expect("one status per endpoint"),
+            })
+            .collect();
+        Some(BatchOutcome {
+            token: session.token,
+            endpoints,
+            global_trace: rebuilt.trace,
+            compliant: session.compliant,
+            complete: session.complete,
+            violations: rebuilt.violations,
+            stalled: session.stalled,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.sessions.size_hint()
+    }
+}
+
+impl ExactSizeIterator for BlockOutcomes {}
+
 /// The conclusion of one batched session, in the same terms as a slab
 /// session outcome: per-endpoint reports (in batch role order), the
 /// monitor's verdicts and — when recording was on — the compliant global
-/// trace.
+/// trace. Rebuilt from an [`OutcomeBlock`] by iterating it.
 #[derive(Debug)]
 pub struct BatchOutcome {
     /// The caller-supplied session token (see [`SessionBatch::admit`]).
@@ -313,8 +568,8 @@ pub struct DemotedSession {
 /// mutable state lives in struct-of-arrays columns indexed by session slot.
 /// [`SessionBatch::admit`] claims a slot, [`SessionBatch::run_quantum`]
 /// steps the whole population in `(role, pc)` cohorts, and sessions leave
-/// as [`BatchOutcome`]s (concluded) or [`DemotedSession`]s (stragglers for
-/// the slab executor).
+/// in an [`OutcomeBlock`] (concluded) or as [`DemotedSession`]s (stragglers
+/// for the slab executor).
 #[derive(Debug)]
 pub struct SessionBatch {
     layout: Arc<BatchLayout>,
@@ -327,17 +582,17 @@ pub struct SessionBatch {
     free: Vec<u32>,
     live_count: usize,
     cursors: Vec<MonitorCursor>,
-    traces: Vec<Trace>,
-    violations: Vec<Vec<MonitorViolation>>,
-    accepted: Vec<usize>,
-    observed: Vec<usize>,
+    // Actions the monitor observed.
+    observed: Vec<u32>,
+    // The session's action log (only the rejected actions when recording
+    // is off); it keeps its capacity across sessions.
+    logs: Vec<Vec<LogEntry>>,
     demote: Vec<bool>,
     progress: Vec<bool>,
     // Endpoint columns, indexed `role * cap + slot`.
     pcs: Vec<u32>,
     steps: Vec<u32>,
     statuses: Vec<Option<EndpointStatus>>,
-    actions: Vec<Vec<ValueAction>>,
     // Value columns, per role, laid out per-slot across sessions:
     // `slots[role][slot_id * cap + slot]`.
     slots: Vec<Vec<Value>>,
@@ -374,16 +629,13 @@ impl SessionBatch {
             free: (0..cap as u32).rev().collect(),
             live_count: 0,
             cursors: vec![cursor; cap],
-            traces: vec![Trace::empty(); cap],
-            violations: vec![Vec::new(); cap],
-            accepted: vec![0; cap],
             observed: vec![0; cap],
+            logs: (0..cap).map(|_| Vec::new()).collect(),
             demote: vec![false; cap],
             progress: vec![false; cap],
             pcs: vec![0; n * cap],
             steps: vec![0; n * cap],
             statuses: vec![None; n * cap],
-            actions: vec![Vec::new(); n * cap],
             slots,
             queues,
             scratch: Vec::new(),
@@ -446,16 +698,12 @@ impl SessionBatch {
         self.demote[s] = false;
         self.progress[s] = false;
         self.cursors[s] = self.layout.system.monitor_cursor();
-        self.traces[s] = Trace::empty();
-        self.violations[s].clear();
-        self.accepted[s] = 0;
         self.observed[s] = 0;
-        for r in 0..self.layout.programs.len() {
+        for (r, program) in self.layout.programs.iter().enumerate() {
             let idx = r * cap + s;
-            self.pcs[idx] = self.layout.programs[r].program().entry();
+            self.pcs[idx] = program.program().entry();
             self.steps[idx] = 0;
             self.statuses[idx] = None;
-            self.actions[idx].clear();
         }
         true
     }
@@ -463,14 +711,22 @@ impl SessionBatch {
     /// Steps the whole population in full passes until `budget` visible
     /// actions were performed (the last pass may overshoot) or no session
     /// is left. Each pass groups live endpoints by `(role, pc)` and steps
-    /// every cohort once; a session whose endpoints all conclude leaves as
-    /// a [`BatchOutcome`], one that diverges (violation, runtime sort
-    /// mismatch, or a full pass without progress — which in a batch of
-    /// self-contained sessions proves it can never progress again) leaves
-    /// as a [`DemotedSession`].
+    /// every cohort once; a session whose endpoints all conclude leaves in
+    /// the quantum's [`OutcomeBlock`], one that diverges (violation,
+    /// runtime sort mismatch, or a full pass without progress — which in a
+    /// batch of self-contained sessions proves it can never progress again)
+    /// leaves as a [`DemotedSession`].
     pub fn run_quantum(&mut self, budget: usize) -> BatchQuantum {
-        let mut out = BatchQuantum::default();
         let layout = Arc::clone(&self.layout);
+        let mut out = BatchQuantum {
+            actions: 0,
+            sends: 0,
+            finished: OutcomeBlock::new(Arc::clone(&layout), self.record),
+            demoted: Vec::new(),
+            cohorts: 0,
+            cohort_sessions: 0,
+            cohort_widths: [0; 16],
+        };
         while self.live_count > 0 && out.actions < budget {
             self.run_pass(&layout, &mut out);
             self.settle(&mut out);
@@ -480,18 +736,18 @@ impl SessionBatch {
 
     /// Closes every live session (server shutdown): endpoints that had not
     /// concluded are marked stalled, and the outcome is flagged as such.
-    pub fn close_all(&mut self) -> Vec<BatchOutcome> {
+    pub fn close_all(&mut self) -> OutcomeBlock {
         let cap = self.cap;
         let n = self.layout.roles.len();
-        let mut outcomes = Vec::with_capacity(self.live_count);
+        let mut block = OutcomeBlock::new(Arc::clone(&self.layout), self.record);
         for s in 0..cap {
             if !self.live[s] {
                 continue;
             }
             let undone = (0..n).any(|r| self.statuses[r * cap + s].is_none());
-            outcomes.push(self.extract_outcome(s, undone));
+            self.conclude(s, undone, &mut block);
         }
-        outcomes
+        block
     }
 
     /// Pulls one live session out of the batch by token (straggler-demotion
@@ -577,7 +833,8 @@ impl SessionBatch {
                 let wire = layout.label_wire[r][label.index()];
                 let ch = (r * n + q) * cap;
                 for &(_, s) in cohort {
-                    self.send_one(layout, r, s as usize, template, payload, wire, ch, *next, out);
+                    let site = (*event, template);
+                    self.send_one(layout, r, s as usize, site, payload, wire, ch, *next, out);
                 }
             }
             Instr::Recv { peer, arms } => {
@@ -643,11 +900,11 @@ impl SessionBatch {
                     event,
                     next,
                 } => {
-                    let template = &program.templates()[*event as usize];
+                    let site = (*event, &program.templates()[*event as usize]);
                     let q = layout.peer_map[r][peer.index()] as usize;
                     let wire = layout.label_wire[r][label.index()];
                     let ch = (r * n + q) * cap;
-                    self.send_one(layout, r, s, template, payload, wire, ch, *next, out);
+                    self.send_one(layout, r, s, site, payload, wire, ch, *next, out);
                     return;
                 }
                 Instr::Recv { peer, arms } => {
@@ -673,7 +930,7 @@ impl SessionBatch {
         layout: &BatchLayout,
         r: usize,
         s: usize,
-        template: &ActionTemplate,
+        (event, template): (u32, &ActionTemplate),
         payload: &CExpr,
         wire: u32,
         ch: usize,
@@ -710,23 +967,7 @@ impl SessionBatch {
             .as_ref()
             .expect("batch-eligible templates are interned");
         let accepted = layout.system.observe_interned(&mut self.cursors[s], interned);
-        self.note(s, accepted, || {
-            Action::send(
-                layout.roles[r].clone(),
-                template.peer.clone(),
-                template.label.clone(),
-                sort.clone(),
-            )
-        });
-        if self.record {
-            self.actions[idx].push(ValueAction::send(
-                layout.roles[r].clone(),
-                template.peer.clone(),
-                template.label.clone(),
-                sort,
-                value.clone(),
-            ));
-        }
+        self.log(r, s, event, true, accepted, &value);
         // The arena seam: by this point the send is observed and recorded —
         // exactly like a transport-level fault, which strikes after the
         // sender has committed the action.
@@ -821,23 +1062,7 @@ impl SessionBatch {
             .as_ref()
             .expect("batch-eligible templates are interned");
         let accepted = layout.system.observe_interned(&mut self.cursors[s], interned);
-        self.note(s, accepted, || {
-            Action::recv(
-                layout.roles[r].clone(),
-                template.peer.clone(),
-                template.label.clone(),
-                sort.clone(),
-            )
-        });
-        if self.record {
-            self.actions[idx].push(ValueAction::recv(
-                layout.roles[r].clone(),
-                template.peer.clone(),
-                template.label.clone(),
-                sort.clone(),
-                value.clone(),
-            ));
-        }
+        self.log(r, s, arm.event, false, accepted, &value);
         self.slots[r][arm.slot as usize * cap + s] = value;
         self.steps[idx] += 1;
         self.pcs[idx] = arm.next;
@@ -848,21 +1073,19 @@ impl SessionBatch {
         }
     }
 
-    /// Mirrors [`CompiledMonitor`]'s observation bookkeeping on the
-    /// session's columns.
-    fn note(&mut self, s: usize, accepted: bool, action: impl FnOnce() -> Action) {
+    /// Counts one observed action and appends it to the session's log —
+    /// with its payload while recording, and only if rejected otherwise.
+    fn log(&mut self, r: usize, s: usize, event: u32, send: bool, accepted: bool, value: &Value) {
         let position = self.observed[s];
         self.observed[s] += 1;
-        if accepted {
-            self.accepted[s] += 1;
-            if self.record {
-                self.traces[s].push(action());
-            }
-        } else {
-            self.violations[s].push(MonitorViolation {
-                action: action(),
+        if self.record || !accepted {
+            self.logs[s].push(LogEntry {
+                role: r as u32,
+                event,
                 position,
-                trace_len: self.accepted[s],
+                send,
+                accepted,
+                value: if self.record { value.clone() } else { Value::Unit },
             });
         }
     }
@@ -889,8 +1112,7 @@ impl SessionBatch {
                 continue;
             }
             if (0..n).all(|r| self.statuses[r * cap + s].is_some()) {
-                let outcome = self.extract_outcome(s, false);
-                out.finished.push(outcome);
+                self.conclude(s, false, &mut out.finished);
                 continue;
             }
             if !self.progress[s] {
@@ -907,8 +1129,9 @@ impl SessionBatch {
         let layout = Arc::clone(&self.layout);
         let cap = self.cap;
         let n = layout.roles.len();
+        let rebuilt = rebuild(&layout, self.record, self.logs[s].drain(..));
         let mut endpoints = Vec::with_capacity(n);
-        for r in 0..n {
+        for (r, actions) in rebuilt.actions.into_iter().enumerate() {
             let idx = r * cap + s;
             let slot_count = layout.slot_counts[r];
             let mut slots = Vec::with_capacity(slot_count);
@@ -920,18 +1143,19 @@ impl SessionBatch {
                 program: Arc::clone(&layout.programs[r]),
                 pc: self.pcs[idx],
                 slots,
-                actions: mem::take(&mut self.actions[idx]),
+                actions,
                 steps: self.steps[idx] as usize,
                 status: self.statuses[idx].take(),
             });
         }
+        let observed = self.observed[s] as usize;
         let monitor = CompiledMonitor::resume(
             Arc::clone(&layout.system),
             mem::replace(&mut self.cursors[s], layout.system.monitor_cursor()),
-            mem::replace(&mut self.traces[s], Trace::empty()),
-            self.accepted[s],
-            mem::take(&mut self.violations[s]),
-            self.observed[s],
+            rebuilt.trace,
+            observed - rebuilt.violations.len(),
+            rebuilt.violations,
+            observed,
             self.record,
         );
         let mut frames = Vec::new();
@@ -963,32 +1187,28 @@ impl SessionBatch {
         }
     }
 
-    fn extract_outcome(&mut self, s: usize, stalled: bool) -> BatchOutcome {
-        let layout = Arc::clone(&self.layout);
+    /// Moves a concluded session into `block`: its summary, its log and
+    /// its endpoint statuses (an endpoint that had not concluded is
+    /// reported stalled). The slot's log keeps its capacity.
+    fn conclude(&mut self, s: usize, stalled: bool, block: &mut OutcomeBlock) {
         let cap = self.cap;
-        let n = layout.roles.len();
-        let mut endpoints = Vec::with_capacity(n);
-        for r in 0..n {
-            let idx = r * cap + s;
-            endpoints.push(EndpointReport {
-                role: layout.roles[r].clone(),
-                actions: mem::take(&mut self.actions[idx]),
-                status: self.statuses[idx].take().unwrap_or(EndpointStatus::Stalled),
-            });
-        }
-        let compliant = self.violations[s].is_empty();
-        let complete = layout.system.is_terminated(&self.cursors[s]);
-        let outcome = BatchOutcome {
+        let log = &mut self.logs[s];
+        let violations = log.iter().filter(|e| !e.accepted).count();
+        block.sessions.push(FinishedSession {
             token: self.tokens[s],
-            endpoints,
-            global_trace: mem::replace(&mut self.traces[s], Trace::empty()),
-            compliant,
-            complete,
-            violations: mem::take(&mut self.violations[s]),
+            compliant: violations == 0,
+            complete: self.layout.system.is_terminated(&self.cursors[s]),
             stalled,
-        };
+            violations,
+            actions: if self.record { self.observed[s] as usize } else { 0 },
+            logged: log.len(),
+        });
+        block.log.append(log);
+        for r in 0..self.layout.roles.len() {
+            let status = self.statuses[r * cap + s].take();
+            block.statuses.push(status.unwrap_or(EndpointStatus::Stalled));
+        }
         self.release(s);
-        outcome
     }
 
     /// Returns a slot to the free list with its value cells scrubbed, so
@@ -996,9 +1216,9 @@ impl SessionBatch {
     fn release(&mut self, s: usize) {
         let cap = self.cap;
         let n = self.layout.roles.len();
+        self.logs[s].clear();
         for r in 0..n {
             let idx = r * cap + s;
-            self.actions[idx].clear();
             self.statuses[idx] = None;
             for k in 0..self.layout.slot_counts[r] {
                 self.slots[r][k * cap + s] = Value::Unit;
@@ -1038,4 +1258,136 @@ fn admin_tick(
         }));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zooid_cfsm::System;
+    use zooid_mpst::global::GlobalType;
+    use zooid_mpst::{generators, Sort};
+    use zooid_proc::{CompiledProc, Expr, Externals, Proc};
+
+    fn layout(g: &GlobalType, procs: &[(Role, Proc)]) -> Arc<BatchLayout> {
+        let system = Arc::new(System::from_global(g).expect("projectable").compile());
+        let roles: Arc<[Role]> = procs.iter().map(|(r, _)| r.clone()).collect();
+        let programs = procs
+            .iter()
+            .map(|(role, proc)| {
+                let compiled = CompiledProc::compile(proc, role, &Externals::new()).unwrap();
+                Arc::new(EndpointProgram::with_system(Arc::new(compiled), &system))
+            })
+            .collect();
+        BatchLayout::new(roles, programs, system).expect("eligible")
+    }
+
+    /// ring/3 with values: Alice sends 1, each hop adds 10.
+    fn ring3_layout() -> Arc<BatchLayout> {
+        let forward = |from: &str, to: &str| {
+            Proc::recv1(
+                Role::new(from),
+                "l",
+                Sort::Nat,
+                "x",
+                Proc::send(
+                    Role::new(to),
+                    "l",
+                    Expr::add(Expr::var("x"), Expr::lit(10u64)),
+                    Proc::Finish,
+                ),
+            )
+        };
+        let procs = [
+            (
+                Role::new("Alice"),
+                Proc::send(
+                    Role::new("Bob"),
+                    "l",
+                    Expr::lit(1u64),
+                    Proc::recv1(Role::new("Carol"), "l", Sort::Nat, "y", Proc::Finish),
+                ),
+            ),
+            (Role::new("Bob"), forward("Alice", "Carol")),
+            (Role::new("Carol"), forward("Bob", "Alice")),
+        ];
+        layout(&generators::ring3(), &procs)
+    }
+
+    /// Four sessions closed mid-flight at different depths: tokens 0 and 1
+    /// ran two passes, 2 and 3 one, so their logs differ in length.
+    fn staggered_block(layout: &Arc<BatchLayout>) -> OutcomeBlock {
+        let mut batch = SessionBatch::new(Arc::clone(layout), ExecOptions::default(), 4);
+        assert!(batch.admit(0) && batch.admit(1));
+        assert!(batch.run_quantum(1).finished.is_empty());
+        assert!(batch.admit(2) && batch.admit(3));
+        assert!(batch.run_quantum(1).finished.is_empty());
+        batch.close_all()
+    }
+
+    #[test]
+    fn skipping_a_session_keeps_the_block_aligned_with_its_log() {
+        let layout = ring3_layout();
+        let full: Vec<String> = staggered_block(&layout)
+            .into_iter()
+            .map(|o| format!("{o:?}"))
+            .collect();
+        let block = staggered_block(&layout);
+        let logged: Vec<usize> = block.iter().map(|s| s.actions).collect();
+        assert_eq!(block.len(), 4);
+        assert!(logged[0] > logged[3], "staggered depths: {logged:?}");
+        let mut outcomes = block.into_iter();
+        for (i, expected) in full.iter().enumerate() {
+            // The log and statuses left are exactly the remaining sessions'.
+            let left: usize = outcomes.sessions.as_slice().iter().map(|s| s.logged).sum();
+            assert_eq!(outcomes.log.len(), left);
+            assert_eq!(outcomes.statuses.len(), (4 - i) * layout.roles.len());
+            let summary = outcomes.peek().expect("four sessions").clone();
+            if i % 2 == 0 {
+                assert_eq!(outcomes.skip_one(), Some(summary));
+                continue;
+            }
+            let outcome = outcomes.next().expect("four sessions");
+            assert_eq!(&format!("{outcome:?}"), expected);
+            assert!(outcome.stalled && summary.stalled);
+            assert_eq!(outcome.token, summary.token);
+            let recorded: usize = outcome.endpoints.iter().map(|r| r.actions.len()).sum();
+            assert_eq!(recorded, summary.actions);
+            assert_eq!(outcome.global_trace.len(), summary.actions);
+        }
+        assert_eq!(outcomes.next().map(|o| o.token), None);
+        assert_eq!(outcomes.log.len() + outcomes.statuses.len(), 0, "nothing left behind");
+    }
+
+    #[test]
+    fn violations_rebuild_alike_with_recording_on_and_off() {
+        // p → q: a, b, c; p sends a, then c out of turn. The monitor
+        // accepts a's send and receive, then rejects c's send: position 2,
+        // after a compliant trace of 2.
+        let (p, q) = (Role::new("p"), Role::new("q"));
+        let msg = |l: &str, k| GlobalType::msg1(p.clone(), q.clone(), l, Sort::Nat, k);
+        let g = msg("a", msg("b", msg("c", GlobalType::End)));
+        let send = |l: &str, k| Proc::send(q.clone(), l, Expr::lit(1u64), k);
+        let recv = |l: &str, k| Proc::recv1(p.clone(), l, Sort::Nat, "x", k);
+        let procs = [
+            (p.clone(), send("a", send("c", send("b", Proc::Finish)))),
+            (q.clone(), recv("a", recv("b", recv("c", Proc::Finish)))),
+        ];
+        let layout = layout(&g, &procs);
+        for record in [true, false] {
+            let options = ExecOptions::default().record_actions(record);
+            let mut batch = SessionBatch::new(Arc::clone(&layout), options, 2);
+            assert!(batch.admit(0) && batch.admit(1));
+            let out = batch.run_quantum(usize::MAX);
+            assert_eq!(out.demoted.len(), 2, "the violators demote");
+            for demoted in &out.demoted {
+                let monitor = &demoted.monitor;
+                let violations = monitor.violations();
+                assert_eq!(violations.len(), 1, "record={record}");
+                assert_eq!((violations[0].position, violations[0].trace_len), (2, 2));
+                assert_eq!(violations[0].action.label(), &Label::new("c"));
+                assert_eq!((monitor.observed(), monitor.accepted()), (3, 2));
+                assert_eq!(monitor.trace().len(), if record { 2 } else { 0 });
+            }
+        }
+    }
 }

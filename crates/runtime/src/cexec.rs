@@ -60,6 +60,10 @@ pub struct ActionTemplate {
     pub interned: Option<InternedAction>,
 }
 
+/// The observer a stepping call reports each performed action to, with its
+/// pre-interned monitor action when the site has one.
+type Observer<'a> = dyn FnMut(&ValueAction, Option<&InternedAction>) + 'a;
+
 /// A compiled program bundled with its per-site [`ActionTemplate`]s —
 /// everything a session needs to run one endpoint, shareable (`Arc`) across
 /// every session of the same `(protocol, role, process)`.
@@ -452,7 +456,7 @@ impl CompiledEndpointTask {
     fn step_outer<P: Port>(
         &mut self,
         port: &mut P,
-        observer: Option<&mut dyn FnMut(&ValueAction, Option<&InternedAction>)>,
+        observer: Option<&mut Observer<'_>>,
         block: bool,
     ) -> StepOutcome {
         if let Some(status) = &self.status {
@@ -477,7 +481,7 @@ impl CompiledEndpointTask {
     fn try_step<P: Port>(
         &mut self,
         port: &mut P,
-        mut observer: Option<&mut dyn FnMut(&ValueAction, Option<&InternedAction>)>,
+        mut observer: Option<&mut Observer<'_>>,
         block: bool,
     ) -> Result<StepOutcome> {
         // Field-level borrows: the program is read-only while pc/slots/

@@ -121,12 +121,12 @@ pub enum FaultSite {
 
 impl FaultSite {
     fn matches(self, dir: FaultDirection) -> bool {
-        match (self, dir) {
-            (FaultSite::Any, _) => true,
-            (FaultSite::Send, FaultDirection::Send) => true,
-            (FaultSite::Recv, FaultDirection::Recv) => true,
-            _ => false,
-        }
+        matches!(
+            (self, dir),
+            (FaultSite::Any, _)
+                | (FaultSite::Send, FaultDirection::Send)
+                | (FaultSite::Recv, FaultDirection::Recv)
+        )
     }
 }
 

@@ -57,7 +57,8 @@
 //!   populations: the invariant skeleton (the compiled per-role programs
 //!   and routing tables, [`cbatch::BatchLayout`]) is shared once, while the
 //!   per-session variables — program counters, value slots, monitor
-//!   cursors — live in struct-of-arrays columns ([`cbatch::SessionBatch`]),
+//!   cursors and a compact action log — live in struct-of-arrays columns
+//!   ([`cbatch::SessionBatch`]),
 //!   stepped in `(role, pc)` cohorts over contiguous memory with sends
 //!   between co-batched sessions as index writes into a shared frame arena.
 //!   A session is batch-eligible when its programs call no externals and
@@ -123,7 +124,8 @@ pub mod wal;
 pub mod wire;
 
 pub use cbatch::{
-    BatchLayout, BatchOutcome, BatchQuantum, DemotedEndpoint, DemotedSession, SessionBatch,
+    BatchLayout, BatchOutcome, BatchQuantum, BlockOutcomes, DemotedEndpoint, DemotedSession,
+    FinishedSession, OutcomeBlock, SessionBatch,
 };
 pub use checkpoint::SessionCheckpoint;
 pub use cexec::{CompiledEndpointTask, EndpointProgram};

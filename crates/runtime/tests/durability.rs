@@ -20,7 +20,7 @@ use zooid_mpst::global::GlobalType;
 use zooid_mpst::local::LocalType;
 use zooid_mpst::projection::project_all;
 use zooid_mpst::{generators, Role, Sort};
-use zooid_proc::{erase, CompiledProc, Expr, Externals, Proc, RecvAlt, Value, ValueAction};
+use zooid_proc::{erase, CompiledProc, Expr, Externals, Proc, RecvAlt, ValueAction};
 use zooid_runtime::cbatch::{BatchLayout, DemotedSession, SessionBatch};
 use zooid_runtime::cexec::{CompiledEndpointTask, EndpointProgram};
 use zooid_runtime::checkpoint::{initial_demoted, SessionCheckpoint};
@@ -161,21 +161,18 @@ fn run_reference(
         assert!(rounds < 100_000, "cooperative schedule must terminate");
         let mut progressed = false;
         for (_, task, transport) in tasks.iter_mut() {
-            loop {
-                match task.step_mem(transport, &mut |va, interned| {
-                    log.push(va.clone());
-                    match interned {
-                        Some(interned) => {
-                            monitor.observe_interned(interned, || erase(va));
-                        }
-                        None => {
-                            monitor.observe(&erase(va));
-                        }
+            while let StepOutcome::Progress = task.step_mem(transport, &mut |va, interned| {
+                log.push(va.clone());
+                match interned {
+                    Some(interned) => {
+                        monitor.observe_interned(interned, || erase(va));
                     }
-                }) {
-                    StepOutcome::Progress => progressed = true,
-                    _ => break,
+                    None => {
+                        monitor.observe(&erase(va));
+                    }
                 }
+            }) {
+                progressed = true;
             }
         }
         if tasks.iter().all(|(_, t, _)| t.is_done()) {
@@ -251,18 +248,15 @@ fn finish_demoted(demoted: DemotedSession, layout: &Arc<BatchLayout>) -> Observe
         assert!(rounds < 100_000, "restored session must terminate");
         let mut progressed = false;
         for (_, task, transport) in tasks.iter_mut() {
-            loop {
-                match task.step_mem(transport, &mut |va, interned| match interned {
-                    Some(interned) => {
-                        monitor.observe_interned(interned, || erase(va));
-                    }
-                    None => {
-                        monitor.observe(&erase(va));
-                    }
-                }) {
-                    StepOutcome::Progress => progressed = true,
-                    _ => break,
+            while let StepOutcome::Progress = task.step_mem(transport, &mut |va, interned| match interned {
+                Some(interned) => {
+                    monitor.observe_interned(interned, || erase(va));
                 }
+                None => {
+                    monitor.observe(&erase(va));
+                }
+            }) {
+                progressed = true;
             }
         }
         if tasks.iter().all(|(_, t, _)| t.is_done()) {
@@ -660,10 +654,10 @@ fn arena_truncation_surfaces_as_a_structured_codec_failure() {
 
     let failures: Vec<String> = out
         .finished
-        .iter()
-        .flat_map(|o| o.endpoints.iter())
-        .filter_map(|r| match &r.status {
-            EndpointStatus::Failed { error } => Some(error.clone()),
+        .into_iter()
+        .flat_map(|o| o.endpoints)
+        .filter_map(|r| match r.status {
+            EndpointStatus::Failed { error } => Some(error),
             _ => None,
         })
         .chain(

@@ -673,8 +673,9 @@ fn io_loop(
             }
         }
 
-        // 4. Drain finished sessions into Done frames.
-        while let Some(outcome) = server.try_next_outcome() {
+        // 4. Drain finished sessions into Done frames. A frame needs only
+        // the summary, so a batched session's traces are never rebuilt.
+        while let Some(outcome) = server.try_next_summary() {
             busy = true;
             open_sessions = open_sessions.saturating_sub(1);
             let Some((slot, gen, client_id)) = routes.remove(&outcome.id) else {
@@ -691,19 +692,14 @@ fn io_loop(
                 continue;
             };
             conn.inflight = conn.inflight.saturating_sub(1);
-            let actions: u64 = outcome
-                .endpoints
-                .values()
-                .map(|r| r.actions.len() as u64)
-                .sum();
             conn.queue(
                 &MuxFrame::Done {
                     session: client_id,
                     compliant: outcome.compliant,
                     complete: outcome.complete,
                     stalled: outcome.stalled,
-                    violations: outcome.violations.len().min(u32::MAX as usize) as u32,
-                    actions,
+                    violations: outcome.violations.min(u32::MAX as usize) as u32,
+                    actions: outcome.actions as u64,
                 },
                 config.max_frame_bytes,
             );

@@ -845,8 +845,10 @@ fn hist_to_value(h: &HistogramSnapshot) -> Value {
 }
 
 fn hist_from_value(value: &Value) -> Option<HistogramSnapshot> {
-    let mut snap = HistogramSnapshot::default();
-    snap.max = nat_field(value, "max")?;
+    let mut snap = HistogramSnapshot {
+        max: nat_field(value, "max")?,
+        ..HistogramSnapshot::default()
+    };
     let Some(Value::Seq(buckets)) = field(value, "buckets") else {
         return None;
     };

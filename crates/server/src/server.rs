@@ -10,6 +10,17 @@
 //! intra-session message arrival wakes the receiving endpoint on the very
 //! next stepping pass, with no cross-thread signalling), and finished
 //! sessions stream their [`SessionOutcome`] back to the submitter.
+//!
+//! **Who builds the traces.** A session that ends on the slab (or is
+//! quarantined, or closed at shutdown outside a batch) has its full
+//! outcome built by its shard. Sessions that conclude inside a columnar
+//! batch travel as the batch's compact [`OutcomeBlock`] — one summary per
+//! session plus the quantum's action log — and their per-endpoint value
+//! traces and global trace are rebuilt from that log by the thread that
+//! asks for the outcome: [`SessionServer::next_outcome`],
+//! [`SessionServer::try_next_outcome`] and [`SessionServer::drain`] build
+//! them on the caller's thread, while the networked IO loop's summary poll
+//! never builds them at all.
 
 use std::collections::VecDeque;
 use std::hash::Hasher;
@@ -20,7 +31,10 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use zooid_cfsm::CompiledSystem;
 use zooid_mpst::common::intern::{FxHashMap, FxHasher};
-use zooid_runtime::cbatch::{BatchLayout, BatchOutcome, DemotedSession, SessionBatch};
+use zooid_runtime::cbatch::{
+    BatchLayout, BatchOutcome, BlockOutcomes, DemotedSession, FinishedSession, OutcomeBlock,
+    SessionBatch,
+};
 use zooid_runtime::cexec::EndpointProgram;
 use zooid_runtime::checkpoint::{initial_demoted, SessionCheckpoint};
 
@@ -28,7 +42,7 @@ use crate::error::{Result, ServerError};
 use crate::metrics::{ServerReport, ShardMetrics};
 use crate::obs::{FlightEvent, Histogram, Incident, ObsReport, ShardObs, INCIDENT_PREFIX_CAP};
 use crate::registry::{ProtocolArtifacts, ProtocolRegistry, ProtocolId};
-use crate::session::{ActiveSession, SessionId, SessionOutcome, SessionSpec};
+use crate::session::{ActiveSession, OutcomeSummary, SessionId, SessionOutcome, SessionSpec};
 
 /// What a worker shard does with a session whose monitor rejected an
 /// action.
@@ -228,11 +242,11 @@ pub struct SessionServer {
     shards: Vec<Shard>,
     metrics: Vec<Arc<ShardMetrics>>,
     obs: Vec<Arc<ShardObs>>,
-    results_rx: Receiver<Vec<SessionOutcome>>,
-    /// Outcomes received from a shard's batch but not yet handed to the
-    /// caller (shards flush finished sessions in batches to keep channel
-    /// traffic off the per-session path).
-    ready: VecDeque<SessionOutcome>,
+    results_rx: Receiver<Vec<Done>>,
+    /// Finished work received from a shard's flush but not yet handed to
+    /// the caller (shards flush finished sessions in batches to keep
+    /// channel traffic off the per-session path), in completion order.
+    ready: VecDeque<Done>,
     next_session: u64,
     in_flight: usize,
     /// Set when a shard worker died and its sessions were written off: the
@@ -342,49 +356,53 @@ impl SessionServer {
         Ok(id)
     }
 
-    /// Receives the next finished session, waiting up to `timeout`.
+    /// Receives the next finished session, waiting up to `timeout`. A
+    /// session that concluded inside a columnar batch has its traces
+    /// rebuilt here, on the caller's thread.
     pub fn next_outcome(&mut self, timeout: Duration) -> Option<SessionOutcome> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        if let Some(outcome) = self.ready.pop_front() {
-            self.in_flight -= 1;
-            return Some(outcome);
-        }
-        match self.results_rx.recv_timeout(timeout) {
-            Ok(batch) => {
-                self.ready.extend(batch);
-                let outcome = self.ready.pop_front()?;
-                self.in_flight -= 1;
-                Some(outcome)
-            }
-            Err(_) => None,
-        }
+        self.next_done(Some(timeout), pop_outcome)
     }
 
     /// Receives the next finished session if one is already available,
-    /// without blocking.
+    /// without blocking (traces rebuilt on the caller's thread, as in
+    /// [`SessionServer::next_outcome`]).
+    pub fn try_next_outcome(&mut self) -> Option<SessionOutcome> {
+        self.next_done(None, pop_outcome)
+    }
+
+    /// Receives the next finished session's [`OutcomeSummary`] if one is
+    /// already available, without blocking and without rebuilding the
+    /// traces of a batched session.
     ///
     /// This is the poll the networked serving plane's IO event loop uses
     /// between socket sweeps: sockets and session outcomes are multiplexed
-    /// on one thread, so neither side may park waiting for the other.
-    pub fn try_next_outcome(&mut self) -> Option<SessionOutcome> {
+    /// on one thread, so neither side may park waiting for the other, and a
+    /// `Done` frame needs nothing but the summary.
+    pub(crate) fn try_next_summary(&mut self) -> Option<OutcomeSummary> {
+        self.next_done(None, pop_summary)
+    }
+
+    /// Takes the next finished session with `pop`, receiving one flush from
+    /// the shards first (waiting up to `wait`, or not at all) when nothing
+    /// is ready.
+    fn next_done<T>(
+        &mut self,
+        wait: Option<Duration>,
+        pop: fn(&mut VecDeque<Done>) -> Option<T>,
+    ) -> Option<T> {
         if self.in_flight == 0 {
             return None;
         }
-        if let Some(outcome) = self.ready.pop_front() {
-            self.in_flight -= 1;
-            return Some(outcome);
+        if self.ready.is_empty() {
+            let flushed = match wait {
+                Some(timeout) => self.results_rx.recv_timeout(timeout).ok()?,
+                None => self.results_rx.try_recv().ok()?,
+            };
+            self.ready.extend(flushed);
         }
-        match self.results_rx.try_recv() {
-            Ok(batch) => {
-                self.ready.extend(batch);
-                let outcome = self.ready.pop_front()?;
-                self.in_flight -= 1;
-                Some(outcome)
-            }
-            Err(_) => None,
-        }
+        let item = pop(&mut self.ready)?;
+        self.in_flight -= 1;
+        Some(item)
     }
 
     /// Collects every in-flight session's outcome, blocking until all
@@ -629,30 +647,34 @@ impl WorkerObs {
         });
     }
 
-    /// Folds a finished session into the histograms, the flight recorder,
-    /// and — when its monitor rejected anything — the incident store. The
-    /// caller supplies `now` so one clock read covers every outcome of a
-    /// quantum.
-    fn on_outcome(&mut self, outcome: &SessionOutcome, now: Instant) {
-        if let Some(start) = self.admitted.remove(&outcome.id.0) {
+    /// Folds a finished session into the wall-time histograms and, when it
+    /// stalled, the flight recorder. The caller supplies `now` so one clock
+    /// read covers every outcome of a quantum.
+    fn on_finished(&mut self, id: SessionId, protocol: ProtocolId, stalled: bool, now: Instant) {
+        if let Some(start) = self.admitted.remove(&id.0) {
             let ns =
                 u64::try_from(now.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX);
             self.shared.session_wall.record(ns);
-            let hist = match self.proto_wall.get(&outcome.protocol) {
+            let hist = match self.proto_wall.get(&protocol) {
                 Some(h) => Arc::clone(h),
                 None => {
-                    let h = self.shared.protocol_wall(outcome.protocol);
-                    self.proto_wall.insert(outcome.protocol, Arc::clone(&h));
+                    let h = self.shared.protocol_wall(protocol);
+                    self.proto_wall.insert(protocol, Arc::clone(&h));
                     h
                 }
             };
             hist.record(ns);
         }
-        if outcome.stalled {
-            self.shared.recorder.record(FlightEvent::Stalled {
-                session: outcome.id.0,
-            });
+        if stalled {
+            self.shared.recorder.record(FlightEvent::Stalled { session: id.0 });
         }
+    }
+
+    /// [`WorkerObs::on_finished`] plus, when the session's monitor rejected
+    /// anything, the flight recorder's violation event and the incident
+    /// store.
+    fn on_outcome(&mut self, outcome: &SessionOutcome, now: Instant) {
+        self.on_finished(outcome.id, outcome.protocol, outcome.stalled, now);
         if !outcome.violations.is_empty() {
             self.shared.recorder.record(FlightEvent::Violation {
                 session: outcome.id.0,
@@ -768,6 +790,73 @@ fn slab_admit(
     slot
 }
 
+/// Finished work on its way from a shard to the consumer.
+#[derive(Debug)]
+enum Done {
+    /// A session whose outcome the shard built: it ended on the slab, was
+    /// quarantined, or was closed outside a batch.
+    Outcome(SessionOutcome),
+    /// Sessions of one protocol that concluded inside a columnar batch, as
+    /// the batch's compact block: the consumer rebuilds each outcome (or
+    /// reads only its summary).
+    Batch(ProtocolId, BlockOutcomes),
+}
+
+/// Takes the next finished session's outcome off the front of `ready`,
+/// rebuilding it from its batch's log when it comes from one.
+fn pop_outcome(ready: &mut VecDeque<Done>) -> Option<SessionOutcome> {
+    match ready.front_mut()? {
+        Done::Outcome(_) => match ready.pop_front() {
+            Some(Done::Outcome(outcome)) => Some(outcome),
+            _ => unreachable!("the front is an outcome"),
+        },
+        Done::Batch(protocol, outcomes) => {
+            let protocol = *protocol;
+            let outcome = outcomes.next().expect("shards flush no empty blocks");
+            if outcomes.len() == 0 {
+                ready.pop_front();
+            }
+            Some(batch_session_outcome(protocol, outcome))
+        }
+    }
+}
+
+/// The summary of the next finished session in `ready`.
+fn front_summary(ready: &VecDeque<Done>) -> Option<OutcomeSummary> {
+    match ready.front()? {
+        Done::Outcome(outcome) => Some(outcome.summary()),
+        Done::Batch(_, outcomes) => outcomes.peek().map(batch_summary),
+    }
+}
+
+/// Takes the next finished session's summary off the front of `ready`; a
+/// batched session's traces are dropped unbuilt.
+fn pop_summary(ready: &mut VecDeque<Done>) -> Option<OutcomeSummary> {
+    let summary = front_summary(ready)?;
+    if let Some(Done::Batch(_, outcomes)) = ready.front_mut() {
+        outcomes.skip_one();
+        if outcomes.len() > 0 {
+            return Some(summary);
+        }
+    }
+    ready.pop_front();
+    Some(summary)
+}
+
+/// The summary of a batch-finished session, as its rebuilt
+/// [`SessionOutcome::summary`] would read.
+fn batch_summary(session: &FinishedSession) -> OutcomeSummary {
+    OutcomeSummary {
+        id: SessionId(session.token),
+        compliant: session.compliant,
+        complete: session.complete,
+        stalled: session.stalled,
+        quarantined: false,
+        violations: session.violations,
+        actions: session.actions,
+    }
+}
+
 /// Converts a batch-finished session into the server's [`SessionOutcome`].
 fn batch_session_outcome(protocol: ProtocolId, outcome: BatchOutcome) -> SessionOutcome {
     SessionOutcome {
@@ -872,12 +961,12 @@ fn store_checkpoint(
 fn drain_for_migration(
     run_queue: &mut VecDeque<u32>,
     batches: &mut [ShardBatch],
-    slab: &mut Vec<Option<ActiveSession>>,
+    slab: &mut [Option<ActiveSession>],
     free: &mut Vec<u32>,
     restarts: &mut FxHashMap<u64, RestartState>,
     metrics: &ShardMetrics,
     wobs: &mut WorkerObs,
-    pending: &mut Vec<SessionOutcome>,
+    pending: &mut Outbox,
 ) -> Vec<MigratedSession> {
     let now = Instant::now();
     let mut migrated = Vec::new();
@@ -946,7 +1035,7 @@ fn drain_for_migration(
 /// steady state of a loaded shard allocates nothing per reschedule.
 fn shard_worker(
     rx: Receiver<ShardMsg>,
-    results: Sender<Vec<SessionOutcome>>,
+    results: Sender<Vec<Done>>,
     metrics: Arc<ShardMetrics>,
     obs: Arc<ShardObs>,
     quantum: usize,
@@ -972,7 +1061,7 @@ fn shard_worker(
     // sessions are never parked behind a long-running neighbour.
     const FLUSH_AT: usize = 64;
     const FLUSH_EVERY_ITERS: usize = 16;
-    let mut pending: Vec<SessionOutcome> = Vec::new();
+    let mut pending = Outbox::default();
     let mut iters_since_flush = 0usize;
     loop {
         // Pull new sessions without blocking while there is work. One clock
@@ -1049,15 +1138,8 @@ fn shard_worker(
                 if entry & BATCH_BIT != 0 {
                     let sb = &mut batches[(entry & !BATCH_BIT) as usize];
                     sb.queued = false;
-                    for outcome in sb.batch.close_all() {
-                        record_outcome(
-                            &metrics,
-                            &mut wobs,
-                            &mut pending,
-                            batch_session_outcome(sb.protocol, outcome),
-                            now,
-                        );
-                    }
+                    let block = sb.batch.close_all();
+                    record_block(&metrics, &mut wobs, &mut pending, sb.protocol, block, now);
                 } else {
                     let session = slab[entry as usize].take().expect("queued slot is occupied");
                     record_outcome(&metrics, &mut wobs, &mut pending, session.close_stalled(), now);
@@ -1065,18 +1147,18 @@ fn shard_worker(
             }
             // A send failure means the server is gone too: nothing left to
             // report to.
-            let _ = flush_outcomes(&results, &mut pending);
+            let _ = pending.flush(&results);
             return;
         }
         metrics.record_queue_depth(run_queue.len());
         iters_since_flush += 1;
-        if !pending.is_empty()
+        if pending.sessions > 0
             && (run_queue.is_empty()
-                || pending.len() >= FLUSH_AT
+                || pending.sessions >= FLUSH_AT
                 || iters_since_flush >= FLUSH_EVERY_ITERS)
         {
             iters_since_flush = 0;
-            if flush_outcomes(&results, &mut pending).is_err() {
+            if pending.flush(&results).is_err() {
                 // The server (and with it every submitter) is gone.
                 return;
             }
@@ -1166,15 +1248,7 @@ fn shard_worker(
             }
             let protocol = sb.protocol;
             let artifacts = Arc::clone(&sb.artifacts);
-            for outcome in result.finished {
-                record_outcome(
-                    &metrics,
-                    &mut wobs,
-                    &mut pending,
-                    batch_session_outcome(protocol, outcome),
-                    ended,
-                );
-            }
+            record_block(&metrics, &mut wobs, &mut pending, protocol, result.finished, ended);
             for demoted in result.demoted {
                 metrics.sessions_demoted.fetch_add(1, Ordering::Relaxed);
                 wobs.shared.recorder.record(FlightEvent::BatchDemoted {
@@ -1312,26 +1386,32 @@ fn shard_worker(
     }
 }
 
-/// Counts a finished session in the shard metrics, folds it into the
-/// observability plane (wall time, flight events, incident capture — every
-/// execution path funnels through here: slab, batch-finished,
-/// demoted-then-slab, and shutdown close), and buffers its outcome for the
-/// next batched flush.
-fn record_outcome(
-    metrics: &ShardMetrics,
-    wobs: &mut WorkerObs,
-    pending: &mut Vec<SessionOutcome>,
-    outcome: SessionOutcome,
-    now: Instant,
-) {
-    if outcome.stalled {
+/// Counts a finished session's conclusion in the shard metrics.
+fn count_finished(metrics: &ShardMetrics, stalled: bool, compliant: bool) {
+    if stalled {
         metrics.sessions_stalled.fetch_add(1, Ordering::Relaxed);
     } else {
         metrics.sessions_completed.fetch_add(1, Ordering::Relaxed);
     }
-    if !outcome.compliant {
+    if !compliant {
         metrics.sessions_violated.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Counts a finished session in the shard metrics, folds it into the
+/// observability plane (wall time, flight events, incident capture) and
+/// buffers its outcome for the next batched flush. Every execution path
+/// funnels through here or through [`record_block`]: slab,
+/// demoted-then-slab, quarantine and shutdown close here, sessions
+/// concluded inside a batch there.
+fn record_outcome(
+    metrics: &ShardMetrics,
+    wobs: &mut WorkerObs,
+    pending: &mut Outbox,
+    outcome: SessionOutcome,
+    now: Instant,
+) {
+    count_finished(metrics, outcome.stalled, outcome.compliant);
     if outcome.quarantined {
         metrics.sessions_quarantined.fetch_add(1, Ordering::Relaxed);
         wobs.shared.recorder.record(FlightEvent::Quarantined {
@@ -1340,19 +1420,54 @@ fn record_outcome(
         wobs.shared.quarantined_for(outcome.protocol);
     }
     wobs.on_outcome(&outcome, now);
-    pending.push(outcome);
+    pending.done.push(Done::Outcome(outcome));
+    pending.sessions += 1;
 }
 
-/// Sends the buffered outcomes as one batch. An error means the server side
-/// of the channel is gone.
-fn flush_outcomes(
-    results: &Sender<Vec<SessionOutcome>>,
-    pending: &mut Vec<SessionOutcome>,
-) -> std::result::Result<(), ()> {
-    if pending.is_empty() {
-        return Ok(());
+/// [`record_outcome`] for the sessions a batch concluded: each is counted
+/// and folded into the wall-time histograms and flight recorder from its
+/// summary, and the block itself is buffered, so the traces are rebuilt by
+/// the consumer, not here. A session concludes inside a batch only while
+/// compliant — a rejected action demotes it at the end of its pass — so a
+/// block never needs incident capture.
+fn record_block(
+    metrics: &ShardMetrics,
+    wobs: &mut WorkerObs,
+    pending: &mut Outbox,
+    protocol: ProtocolId,
+    block: OutcomeBlock,
+    now: Instant,
+) {
+    if block.is_empty() {
+        return;
     }
-    results.send(std::mem::take(pending)).map_err(|_| ())
+    for session in &block {
+        debug_assert!(session.compliant, "violators demote out of the batch");
+        count_finished(metrics, session.stalled, session.compliant);
+        wobs.on_finished(SessionId(session.token), protocol, session.stalled, now);
+    }
+    pending.sessions += block.len();
+    pending.done.push(Done::Batch(protocol, block.into_iter()));
+}
+
+/// A shard's finished work awaiting the next flush, in completion order,
+/// with the number of sessions it holds.
+#[derive(Default)]
+struct Outbox {
+    done: Vec<Done>,
+    sessions: usize,
+}
+
+impl Outbox {
+    /// Sends the buffered work as one message. An error means the server
+    /// side of the channel is gone.
+    fn flush(&mut self, results: &Sender<Vec<Done>>) -> std::result::Result<(), ()> {
+        if self.done.is_empty() {
+            return Ok(());
+        }
+        self.sessions = 0;
+        results.send(std::mem::take(&mut self.done)).map_err(|_| ())
+    }
 }
 
 #[cfg(test)]
@@ -1546,6 +1661,142 @@ mod tests {
             Err(ServerError::UnknownProtocol)
         ));
         server.shutdown();
+    }
+
+    /// Takes the next `count` finished sessions straight off the results
+    /// channel: for each, the summary the networked IO loop would read
+    /// from the queued item, the outcome the caller-thread path rebuilds
+    /// from the same item, and whether it came from a batch's block.
+    fn summaries_and_outcomes(
+        server: &mut SessionServer,
+        count: usize,
+    ) -> Vec<(OutcomeSummary, SessionOutcome, bool)> {
+        let mut taken = Vec::with_capacity(count);
+        while taken.len() < count {
+            if server.ready.is_empty() {
+                let flushed = server
+                    .results_rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("the shards report");
+                server.ready.extend(flushed);
+            }
+            let from_block = matches!(server.ready.front(), Some(Done::Batch(..)));
+            let summary = front_summary(&server.ready).expect("a session is ready");
+            let outcome = pop_outcome(&mut server.ready).expect("a session is ready");
+            taken.push((summary, outcome, from_block));
+        }
+        server.in_flight -= count;
+        taken
+    }
+
+    fn assert_summaries_agree(taken: &[(OutcomeSummary, SessionOutcome, bool)]) {
+        for (summary, outcome, _) in taken {
+            assert_eq!(*summary, outcome.summary(), "{outcome:?}");
+        }
+    }
+
+    #[test]
+    fn summaries_agree_with_rebuilt_outcomes_on_finish_demotion_and_quarantine() {
+        let mut registry = ProtocolRegistry::new();
+        let ring = registry
+            .register(Protocol::new("ring", generators::ring3()).unwrap())
+            .unwrap();
+        let pipeline = registry
+            .register(Protocol::new("pipeline", generators::pipeline()).unwrap())
+            .unwrap();
+        let byz = registry
+            .register(Protocol::new("byz_ring", generators::ring3()).unwrap())
+            .unwrap();
+        let lenient = registry
+            .register(Protocol::new("lenient_ring", generators::ring3()).unwrap())
+            .unwrap();
+        let ring_endpoints = skeleton_endpoints(registry.get(ring).unwrap().protocol()).unwrap();
+        let pipeline_endpoints =
+            skeleton_endpoints(registry.get(pipeline).unwrap().protocol()).unwrap();
+        let driver = |name: &str| {
+            crate::synth::byzantine_driver(
+                &Protocol::new(name, generators::ring3()).unwrap(),
+                crate::synth::ByzantineMutation::WrongLabel,
+            )
+            .unwrap()
+            .expect("wrong-label applies to the ring")
+        };
+        // Halt at the first violation, except for `lenient_ring`, whose
+        // violators run on under observation.
+        let config = ServerConfig::with_shards(1).with_violation_threshold(lenient, 100);
+        let mut server = SessionServer::start(registry, config);
+        for _ in 0..20 {
+            server.submit(SessionSpec::new(ring, ring_endpoints.clone())).unwrap();
+        }
+        for _ in 0..5 {
+            let mut spec = SessionSpec::new(ring, ring_endpoints.clone());
+            spec.options.record_actions = false;
+            server.submit(spec).unwrap();
+        }
+        for _ in 0..4 {
+            let spec = SessionSpec::new(pipeline, pipeline_endpoints.clone()).with_max_steps(10);
+            server.submit(spec).unwrap();
+        }
+        for (protocol, name) in [(byz, "byz_ring"), (lenient, "lenient_ring")] {
+            let endpoints = driver(name).endpoints;
+            for _ in 0..3 {
+                server.submit(SessionSpec::new(protocol, endpoints.clone())).unwrap();
+            }
+        }
+        let taken = summaries_and_outcomes(&mut server, 35);
+        assert_summaries_agree(&taken);
+        let batched = taken.iter().filter(|(_, _, from_block)| *from_block);
+        assert_eq!(batched.count(), 25, "every ring session concludes in its batch");
+        assert!(taken.iter().any(|(s, _, b)| *b && s.actions == 0), "recording off");
+        assert!(taken.iter().any(|(s, _, b)| *b && s.actions == 6), "ring/3 records 6");
+        let demoted_stalled = taken.iter().filter(|(s, _, _)| s.stalled && s.compliant);
+        assert_eq!(demoted_stalled.count(), 4, "step-limited pipelines stall on the slab");
+        assert_eq!(taken.iter().filter(|(s, _, _)| s.quarantined).count(), 3);
+        assert_eq!(
+            taken
+                .iter()
+                .filter(|(s, _, _)| !s.quarantined && s.violations > 0)
+                .count(),
+            3,
+            "observed violators"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn summaries_agree_with_rebuilt_outcomes_on_drain_and_shutdown() {
+        let mut registry = ProtocolRegistry::new();
+        let pipeline = registry
+            .register(Protocol::new("pipeline", generators::pipeline()).unwrap())
+            .unwrap();
+        let endpoints = skeleton_endpoints(registry.get(pipeline).unwrap().protocol()).unwrap();
+        let mut server = SessionServer::start(registry, ServerConfig::with_shards(1));
+        // Unbounded sessions: they loop until drained or shut down.
+        for _ in 0..3 {
+            server.submit(SessionSpec::new(pipeline, endpoints.clone())).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let migrated = server.drain_shard(0).unwrap();
+        assert_eq!(migrated.len(), 3, "the batch is evacuated");
+        let restored = migrated.into_iter().next().unwrap();
+        server.migrate_session(restored, 0).unwrap();
+        for _ in 0..3 {
+            server.submit(SessionSpec::new(pipeline, endpoints.clone())).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        // Shut the shards down but keep the outcome stream: the batch's
+        // members close through `close_all`, the restored slab session
+        // through `close_stalled`.
+        for shard in &server.shards {
+            shard.tx.send(ShardMsg::Shutdown).unwrap();
+        }
+        for shard in server.shards.drain(..) {
+            shard.handle.join().unwrap();
+        }
+        let taken = summaries_and_outcomes(&mut server, 4);
+        assert_summaries_agree(&taken);
+        assert!(taken.iter().all(|(s, _, _)| s.stalled && s.compliant && s.actions > 0));
+        assert_eq!(taken.iter().filter(|(_, _, from_block)| *from_block).count(), 3);
     }
 
     #[test]

@@ -111,6 +111,43 @@ impl SessionOutcome {
     pub fn messages_exchanged(&self) -> usize {
         self.global_trace.iter().filter(|a| a.is_send()).count()
     }
+
+    /// The outcome's verdicts and counts without its traces.
+    pub(crate) fn summary(&self) -> OutcomeSummary {
+        OutcomeSummary {
+            id: self.id,
+            compliant: self.compliant,
+            complete: self.complete,
+            stalled: self.stalled,
+            quarantined: self.quarantined,
+            violations: self.violations.len(),
+            actions: self.endpoints.values().map(|r| r.actions.len()).sum(),
+        }
+    }
+}
+
+/// What a [`SessionOutcome`] says without its traces: the verdicts, the
+/// number of violations and the number of recorded actions — everything a
+/// networked `Done` frame carries.
+/// [`SessionServer::try_next_summary`](crate::SessionServer::try_next_summary)
+/// hands these out without rebuilding a batched session's traces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OutcomeSummary {
+    /// The session's id.
+    pub id: SessionId,
+    /// Whether every observed action was allowed by the protocol.
+    pub compliant: bool,
+    /// Whether the protocol ran to completion.
+    pub complete: bool,
+    /// Whether the session was closed without finishing.
+    pub stalled: bool,
+    /// Whether the quarantine policy halted the session.
+    pub quarantined: bool,
+    /// The number of observed violations.
+    pub violations: usize,
+    /// Visible actions recorded across the endpoints' value traces (zero
+    /// when recording was off).
+    pub actions: usize,
 }
 
 /// What one scheduling quantum did to a session.

@@ -156,7 +156,6 @@ fn drive<T: Transport>(
         })
         .collect();
 
-    let n = tasks.len();
     let mut last_progress = Instant::now();
     let mut idle_rounds = 0usize;
     let mut rounds = 0usize;
@@ -164,8 +163,7 @@ fn drive<T: Transport>(
         rounds += 1;
         assert!(rounds < 10_000_000, "cooperative schedule must terminate");
         let mut progressed = false;
-        for idx in 0..n {
-            let (_, task, transport) = &mut tasks[idx];
+        for (_, task, transport) in tasks.iter_mut() {
             loop {
                 let outcome = task.step(transport, &mut |va| {
                     let action = zooid_proc::erase(va);
@@ -777,8 +775,8 @@ fn arena_run(
     batch.set_arena_faults(plan);
     let out = batch.run_quantum(usize::MAX);
 
-    let clean: Vec<u64> = out
-        .finished
+    let finished: Vec<_> = out.finished.into_iter().collect();
+    let clean: Vec<u64> = finished
         .iter()
         .filter(|o| {
             o.compliant
@@ -795,9 +793,8 @@ fn arena_run(
         .iter()
         .flat_map(|d| d.endpoints.iter())
         .any(|ep| ep.status.is_none() || ep.status == Some(EndpointStatus::Stalled))
-        || out.finished.iter().any(|o| o.stalled);
-    let failures: Vec<String> = out
-        .finished
+        || finished.iter().any(|o| o.stalled);
+    let failures: Vec<String> = finished
         .iter()
         .flat_map(|o| o.endpoints.iter())
         .filter_map(|r| match &r.status {

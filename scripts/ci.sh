@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the zooid workspace: release build, full test-suite, and a
 # bench-report smoke run that validates the machine-readable benchmark
-# report (BENCH_pr12.json schema) without paying full measurement budgets.
+# report (BENCH_pr13.json schema) without paying full measurement budgets.
 #
 # The smoke bench-report is also the explore_parallel smoke suite: it runs
 # the work-stealing explorer at threads=2 and asserts verdict and
@@ -15,10 +15,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo clippy -p zooid-cfsm --all-targets --no-deps -- -D warnings"
-# The first crate held to a warning-free lint. --no-deps keeps the gate on
-# this crate: its workspace dependencies are not lint-clean yet.
-cargo clippy -p zooid-cfsm --all-targets --no-deps -- -D warnings
+echo "== cargo clippy -p zooid-cfsm -p zooid-runtime -p zooid-server --all-targets --no-deps -- -D warnings"
+# The crates held to a warning-free lint. --no-deps keeps the gate on
+# these crates: their other workspace dependencies are not lint-clean yet.
+cargo clippy -p zooid-cfsm -p zooid-runtime -p zooid-server --all-targets --no-deps -- -D warnings
 
 echo "== cargo test --workspace -q"
 # The root manifest is both a package and a workspace: a bare `cargo test`
@@ -58,7 +58,7 @@ cargo test --release -q -p zooid-server --test crash_recovery
 echo "== bench-report smoke (includes explore_parallel threads=2 agreement checks)"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-report="$tmpdir/BENCH_pr12.json"
+report="$tmpdir/BENCH_pr13.json"
 cargo run --release -p zooid-bench --bin bench-report -- --smoke --out "$report" >/dev/null
 
 echo "== validating $report"
@@ -70,7 +70,7 @@ import sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
 
-assert report["pr"] == 12, f"unexpected pr marker: {report['pr']}"
+assert report["pr"] == 13, f"unexpected pr marker: {report['pr']}"
 benches = report["benches"]
 families = {e["bench"] for e in benches}
 for family in (
@@ -79,6 +79,7 @@ for family in (
     "cfsm_explore_par",
     "endpoint_step",
     "batch_step",
+    "batch_handoff",
     "obs_overhead",
     "fault_overhead",
     "server_throughput",
@@ -105,6 +106,13 @@ assert any("ring/" in e["case"] for e in batch) and any(
 ), "batch_step must cover ring and fanout_loop"
 assert all("/w" in e["case"] and "peraction" in e["case"] for e in batch), \
     "batch_step cases must record batch width and per-action units"
+assert any("/record" in e["case"] for e in batch), \
+    "batch_step must cover a trace-recording case"
+handoff = [e for e in benches if e["bench"] == "batch_handoff"]
+assert all(e["median_ns"] > 0 and e["baseline_ns"] > 0 for e in handoff), \
+    "batch_handoff needs both the handoff and the same-thread figure"
+assert all("persession" in e["case"] for e in handoff), \
+    "batch_handoff cases must use per-session units"
 obs = [e for e in benches if e["bench"] == "obs_overhead"]
 assert all(e["median_ns"] > 0 and e["baseline_ns"] > 0 for e in obs), \
     "obs_overhead medians must be positive"
@@ -169,6 +177,7 @@ assert all(e["median_ns"] > 0 for e in par), "parallel medians must be positive"
 print(
     f"OK: {len(benches)} entries, {len(explore)} cfsm_explore, {len(por)} cfsm_explore_por, "
     f"{len(par)} cfsm_explore_par, {len(endpoint)} endpoint_step, {len(batch)} batch_step, "
+    f"{len(handoff)} batch_handoff, "
     f"{len(obs)} obs_overhead, {len(fault)} fault_overhead, {len(server)} server_throughput, "
     f"{len(tcp)} server_throughput_tcp, {len(monitor)} monitor_action, "
     f"{len(ckpt)} checkpoint_restore, {len(wal)} wal_append cases"
@@ -176,13 +185,14 @@ print(
 EOF
 else
     # Fallback when python3 is unavailable: shape-check with grep.
-    grep -q '"pr": 12' "$report"
+    grep -q '"pr": 13' "$report"
     grep -q '"bench": "cfsm_explore"' "$report"
     grep -q '"bench": "cfsm_explore_por"' "$report"
     grep -q '"bench": "cfsm_explore_par"' "$report"
     grep -q 'threads2' "$report"
     grep -q '"bench": "endpoint_step"' "$report"
     grep -q '"bench": "batch_step"' "$report"
+    grep -q '"bench": "batch_handoff"' "$report"
     grep -q '"bench": "obs_overhead"' "$report"
     grep -q '"bench": "fault_overhead"' "$report"
     grep -q 'peraction' "$report"
@@ -193,7 +203,7 @@ else
     grep -q '"bench": "checkpoint_restore"' "$report"
     grep -q '"bench": "wal_append"' "$report"
     grep -q 'bytesperaction' "$report"
-    echo "OK (grep fallback): all twelve bench families present"
+    echo "OK (grep fallback): all thirteen bench families present"
 fi
 
 echo "== CI green"
